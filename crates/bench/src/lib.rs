@@ -1,10 +1,10 @@
 //! # se-bench
 //!
-//! Shared harness code for regenerating every table and figure of the paper's
-//! evaluation (Section 4). The bench targets in `benches/` are thin wrappers
-//! that call into this crate and print paper-style rows; see `EXPERIMENTS.md`
-//! at the repository root for the recorded results and the comparison against
-//! the paper.
+//! Shared harness code for regenerating the paper's evaluation tables and
+//! figures (Section 4) on the virtual-time runtimes (`stateflow-runtime`,
+//! `statefun-runtime`). The bench targets in `benches/` are thin wrappers
+//! that call into this crate and print paper-style rows. The real sharded
+//! engine is measured by `sebench` (`benchmark/`), not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -375,1357 +375,6 @@ pub fn call_path_rows() -> Vec<(&'static str, f64)> {
         rows.push((label, Histogram::to_millis(hist.p99())));
     }
     rows
-}
-
-// ---------------------------------------------------------------------------
-// Shard scaling (PR 3): wall-clock throughput of the real multi-threaded
-// sharded runtime. Unlike every row above, nothing here is virtual time.
-// ---------------------------------------------------------------------------
-
-/// One row of the shard-scaling sweep.
-#[derive(Debug, Clone)]
-pub struct ShardScalingRow {
-    /// Shard (worker thread) count.
-    pub shards: usize,
-    /// Requests executed.
-    pub requests: usize,
-    /// Wall-clock run time in milliseconds (excludes load + submit).
-    pub elapsed_ms: f64,
-    /// Throughput in thousand requests per wall-clock second.
-    pub kreq_per_sec: f64,
-    /// Events processed per shard (how evenly the hash spreads the work).
-    pub events_per_shard: Vec<u64>,
-    /// Cross-shard mailbox flushes (vector sends between workers).
-    pub cross_shard_batches: u64,
-    /// Events carried inside those flushes.
-    pub cross_shard_events: u64,
-}
-
-fn shard_runtime_for(
-    shards: usize,
-    batch_mailboxes: bool,
-    spec: &WorkloadSpec,
-) -> shard_runtime::ShardRuntime {
-    let program = account_program();
-    let config = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        full_snapshot_every: 4,
-        batch_mailboxes,
-        ..shard_runtime::ShardConfig::default()
-    };
-    let mut rt =
-        shard_runtime::ShardRuntime::new(program.ir.clone(), config).expect("compiled IR verifies");
-    for i in 0..spec.record_count {
-        rt.load_entity("Account", &account_init_args(i, 64))
-            .unwrap();
-    }
-    for op in spec.operations() {
-        let call = op.to_call(rt.ir());
-        rt.submit(call);
-    }
-    rt
-}
-
-/// Run YCSB-B (95 % reads, uniform keys) on the multi-threaded sharded
-/// runtime for each shard count, measuring wall-clock throughput.
-pub fn shard_scaling_rows(shard_counts: &[usize], requests: usize) -> Vec<ShardScalingRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let mut rt = shard_runtime_for(shards, true, &spec);
-            let t = std::time::Instant::now();
-            let report = rt.run().unwrap();
-            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(report.answered(), requests);
-            ShardScalingRow {
-                shards,
-                requests,
-                elapsed_ms,
-                kreq_per_sec: requests as f64 / t.elapsed().as_secs_f64() / 1e3,
-                events_per_shard: report.events_per_shard.clone(),
-                cross_shard_batches: report.cross_shard_batches,
-                cross_shard_events: report.cross_shard_events,
-            }
-        })
-        .collect()
-}
-
-/// Mailbox-batching ablation on a cross-shard-heavy workload (100 %
-/// transfers): per-`(shard, class)` drained vectors vs one channel send per
-/// event. Returns `(label, kreq/s, cross-shard channel sends)` per mode.
-pub fn mailbox_batching_rows(shards: usize, requests: usize) -> Vec<(&'static str, f64, u64)> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_t(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    [("batched mailboxes", true), ("per-event sends", false)]
-        .into_iter()
-        .map(|(label, batched)| {
-            let mut rt = shard_runtime_for(shards, batched, &spec);
-            let t = std::time::Instant::now();
-            let report = rt.run().unwrap();
-            assert_eq!(report.answered(), requests);
-            (
-                label,
-                requests as f64 / t.elapsed().as_secs_f64() / 1e3,
-                report.cross_shard_batches,
-            )
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Concurrency-monitor overhead (PR 10): the same engine workload with the
-// happens-before detector + commit-order certifier disarmed vs armed.
-// ---------------------------------------------------------------------------
-
-/// One row of the monitor-overhead comparison.
-#[derive(Debug, Clone)]
-pub struct MonitorRow {
-    /// `"monitor off"` / `"monitor on"`.
-    pub label: &'static str,
-    /// Requests executed.
-    pub requests: usize,
-    /// Wall-clock run time in milliseconds (excludes load + submit).
-    pub elapsed_ms: f64,
-    /// Throughput in thousand requests per wall-clock second.
-    pub kreq_per_sec: f64,
-    /// Vector-clock stamps taken (0 when disarmed).
-    pub stamps: u64,
-    /// Shared-resource accesses checked (0 when disarmed).
-    pub accesses: u64,
-    /// Batches fed through the commit-order certifier (0 when disarmed).
-    pub batches_certified: u64,
-}
-
-impl MonitorRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<12} | {:>10.1} ms | {:>6.1} kreq/s | {:>8} stamps | {:>8} accesses | {:>5} batches certified",
-            self.label,
-            self.elapsed_ms,
-            self.kreq_per_sec,
-            self.stamps,
-            self.accesses,
-            self.batches_certified
-        )
-    }
-}
-
-/// YCSB-B on the sharded engine, disarmed vs armed (no schedule
-/// perturbation — this measures pure instrumentation cost). The armed run
-/// must finish race-free and order-certified or the row panics: a bench that
-/// quietly benchmarks a corrupted run would report a meaningless number.
-///
-/// Each mode runs `trials` times and reports the best trial: on a shared
-/// (often single-CPU) container the run-to-run spread from scheduler
-/// interference exceeds the instrumentation cost being measured, and
-/// best-of-N is the standard way to strip that additive noise.
-pub fn monitor_overhead_rows(shards: usize, requests: usize, trials: usize) -> Vec<MonitorRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    [("monitor off", false), ("monitor on", true)]
-        .into_iter()
-        .map(|(label, armed)| {
-            let mut best: Option<MonitorRow> = None;
-            for _ in 0..trials.max(1) {
-                let monitor = armed.then(racecheck::Monitor::armed);
-                let program = account_program();
-                let config = shard_runtime::ShardConfig {
-                    shards,
-                    batch_size: 512,
-                    epoch_every_batches: 16,
-                    full_snapshot_every: 4,
-                    monitor: monitor.clone(),
-                    ..shard_runtime::ShardConfig::default()
-                };
-                let mut rt = shard_runtime::ShardRuntime::new(program.ir.clone(), config)
-                    .expect("compiled IR verifies");
-                for i in 0..spec.record_count {
-                    rt.load_entity("Account", &account_init_args(i, 64))
-                        .unwrap();
-                }
-                for op in spec.operations() {
-                    rt.submit(op.to_call(rt.ir()));
-                }
-                let t = std::time::Instant::now();
-                let report = rt.run().unwrap();
-                let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(report.answered(), requests);
-                let stats = monitor
-                    .as_ref()
-                    .map(|m| {
-                        assert!(
-                            m.is_clean(),
-                            "armed bench run must be clean:\n{}",
-                            m.report()
-                        );
-                        m.stats()
-                    })
-                    .unwrap_or_default();
-                let row = MonitorRow {
-                    label,
-                    requests,
-                    elapsed_ms,
-                    kreq_per_sec: requests as f64 / t.elapsed().as_secs_f64() / 1e3,
-                    stamps: stats.stamps,
-                    accesses: stats.accesses,
-                    batches_certified: stats.batches_certified,
-                };
-                if best.as_ref().is_none_or(|b| row.elapsed_ms < b.elapsed_ms) {
-                    best = Some(row);
-                }
-            }
-            best.expect("at least one trial ran")
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Batch pipelining + precise footprints (PR 4)
-// ---------------------------------------------------------------------------
-
-/// One row of the pipelining / footprint-precision sweeps.
-#[derive(Debug, Clone)]
-pub struct PipelineRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Requests executed.
-    pub requests: usize,
-    /// Throughput in thousand requests per wall-clock second.
-    pub kreq_per_sec: f64,
-    /// Transaction batches the run needed (smaller = less serialization).
-    pub batches: u64,
-    /// Total deferrals (conflict-rule re-queues).
-    pub deferrals: u64,
-    /// Batches dispatched while a predecessor was still in flight.
-    pub pipelined_batches: u64,
-}
-
-impl PipelineRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<34} | {:>7.1} kreq/s | {:>6} batches | {:>6} deferrals | {:>6} pipelined",
-            self.label, self.kreq_per_sec, self.batches, self.deferrals, self.pipelined_batches
-        )
-    }
-}
-
-fn pipeline_run(
-    label: &'static str,
-    config: shard_runtime::ShardConfig,
-    calls: &[stateful_entities::MethodCall],
-    accounts: usize,
-) -> PipelineRow {
-    let program = account_program();
-    let mut rt =
-        shard_runtime::ShardRuntime::new(program.ir.clone(), config).expect("compiled IR verifies");
-    for i in 0..accounts {
-        rt.load_entity("Account", &account_init_args(i, 64))
-            .unwrap();
-    }
-    for call in calls {
-        rt.submit(call.clone());
-    }
-    let t = std::time::Instant::now();
-    let report = rt.run().expect("healthy run");
-    let elapsed = t.elapsed().as_secs_f64();
-    assert_eq!(report.answered(), calls.len());
-    PipelineRow {
-        label,
-        requests: calls.len(),
-        kreq_per_sec: calls.len() as f64 / elapsed / 1e3,
-        batches: report.batches,
-        deferrals: report.deferrals,
-        pipelined_batches: report.pipelined_batches,
-    }
-}
-
-/// Read-storm sweep: every request reads the SAME hot key. With precise
-/// footprints the storm commits batch-per-batch-size; with the all-RMW
-/// ablation every read conflicts with every other and the commit rule
-/// serializes them one (or fewer) per batch.
-pub fn read_storm_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let program = account_program();
-    let calls: Vec<stateful_entities::MethodCall> = (0..requests)
-        .map(|_| {
-            program
-                .ir
-                .resolve_call(
-                    "Account",
-                    stateful_entities::Key::Str("acc0".to_string().into()),
-                    "read",
-                    vec![],
-                )
-                .unwrap()
-        })
-        .collect();
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("precise footprints (read-only)", base.clone(), &calls, 64),
-        pipeline_run(
-            "all-RMW footprints (PR 3)",
-            shard_runtime::ShardConfig {
-                precise_footprints: false,
-                ..base
-            },
-            &calls,
-            64,
-        ),
-    ]
-}
-
-/// Pipelining sweep on uniform single-entity updates (disjoint batches, the
-/// best case for overlap) — pipelined vs full-barrier-per-batch.
-pub fn pipelining_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let program = account_program();
-    let calls: Vec<stateful_entities::MethodCall> = spec
-        .operations()
-        .iter()
-        .map(|op| op.to_call(&program.ir))
-        .collect();
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("pipelined batches", base.clone(), &calls, 10_000),
-        pipeline_run(
-            "full barrier per batch (PR 3)",
-            shard_runtime::ShardConfig {
-                pipelined_batches: false,
-                ..base
-            },
-            &calls,
-            10_000,
-        ),
-    ]
-}
-
-// ---------------------------------------------------------------------------
-// Precision effect analysis (PR 7)
-// ---------------------------------------------------------------------------
-
-/// Build the resolved call sequence of a workload spec.
-fn spec_calls(spec: &WorkloadSpec) -> Vec<stateful_entities::MethodCall> {
-    let program = account_program();
-    spec.operations()
-        .iter()
-        .map(|op| op.to_call(&program.ir))
-        .collect()
-}
-
-/// Per-parameter write-set ablation on **audited YCSB-B**: 95 % reads, 5 %
-/// audited transfers that all consult one shared audit-log account. The
-/// one-bit `writes_ref_args` summary write-locks the log on every transfer —
-/// a global serialization point; per-parameter effects prove the log
-/// parameter read-only, so the transfers commit in parallel. Batch and
-/// deferral counts are schedule-independent (identical on any core count).
-pub fn per_param_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b_audited(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("per-parameter write sets", base.clone(), &calls, 10_000),
-        pipeline_run(
-            "one-bit writes_ref_args (PR 4)",
-            shard_runtime::ShardConfig {
-                per_param_footprints: false,
-                ..base
-            },
-            &calls,
-            10_000,
-        ),
-    ]
-}
-
-/// Plain YCSB-B under the full PR 7 default configuration — the ROADMAP
-/// item 4 headline number (batch count and deferral rate).
-pub fn ycsb_b_row(requests: usize, shards: usize) -> PipelineRow {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    pipeline_run(
-        "YCSB-B uniform (PR 7 defaults)",
-        shard_runtime::ShardConfig {
-            shards,
-            batch_size: 512,
-            epoch_every_batches: 16,
-            ..shard_runtime::ShardConfig::default()
-        },
-        &calls,
-        10_000,
-    )
-}
-
-/// Commutative-class ablation on the hot-key storm: 100 % credits under the
-/// Zipfian θ=0.99 chooser, so the bulk of the increments piles onto a few
-/// hot keys. Commutative commit classes let commuting writers share batches
-/// like read-read pairs; the write-write-defer baseline serializes each hot
-/// key to ~1 commit per batch.
-pub fn commutative_storm_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::credit_storm(),
-        distribution: KeyDistribution::Zipfian,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("commutative commit classes", base.clone(), &calls, 10_000),
-        pipeline_run(
-            "write-write defer (PR 4)",
-            shard_runtime::ShardConfig {
-                commutative_commits: false,
-                ..base
-            },
-            &calls,
-            10_000,
-        ),
-    ]
-}
-
-/// One row of the frame-liveness / interner sweep: cross-shard continuation
-/// payload and hot-key allocation savings.
-#[derive(Debug, Clone)]
-pub struct HopBytesRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Throughput in thousand requests per wall-clock second.
-    pub kreq_per_sec: f64,
-    /// Cross-shard `Invoke`/`Resume` events routed.
-    pub cross_shard_events: u64,
-    /// Total continuation-frame bytes those events carried.
-    pub hop_frame_bytes: u64,
-    /// Mean frame payload per cross-shard hop.
-    pub bytes_per_hop: f64,
-    /// Duplicate hot-key allocation bytes avoided by the per-partition
-    /// key interner.
-    pub key_bytes_interned: u64,
-}
-
-impl HopBytesRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<28} | {:>7.1} kreq/s | {:>7} hops | {:>9} frame bytes | {:>6.1} bytes/hop | {:>8} key bytes interned",
-            self.label,
-            self.kreq_per_sec,
-            self.cross_shard_events,
-            self.hop_frame_bytes,
-            self.bytes_per_hop,
-            self.key_bytes_interned
-        )
-    }
-}
-
-/// Frame-liveness ablation on YCSB+T (100 % transfers — the cross-shard
-/// continuation-heavy workload): dead locals dropped at split points vs
-/// every slot shipped. `bytes_per_hop` is the measured payload delta; the
-/// interner column doubles as the hot-key resident-bytes satellite number.
-pub fn liveness_hop_rows(requests: usize, shards: usize) -> Vec<HopBytesRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_t(),
-        distribution: KeyDistribution::Zipfian,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    let program = account_program();
-    [
-        ("liveness-pruned frames", true),
-        ("all slots shipped", false),
-    ]
-    .into_iter()
-    .map(|(label, prune)| {
-        let mut rt = shard_runtime::ShardRuntime::new(
-            program.ir.clone(),
-            shard_runtime::ShardConfig {
-                shards,
-                batch_size: 512,
-                epoch_every_batches: 16,
-                liveness_prune: prune,
-                ..shard_runtime::ShardConfig::default()
-            },
-        )
-        .expect("compiled IR verifies");
-        for i in 0..10_000 {
-            rt.load_entity("Account", &account_init_args(i, 64))
-                .unwrap();
-        }
-        for call in &calls {
-            rt.submit(call.clone());
-        }
-        let t = std::time::Instant::now();
-        let report = rt.run().expect("healthy run");
-        let elapsed = t.elapsed().as_secs_f64();
-        assert_eq!(report.answered(), calls.len());
-        HopBytesRow {
-            label,
-            kreq_per_sec: calls.len() as f64 / elapsed / 1e3,
-            cross_shard_events: report.cross_shard_events,
-            hop_frame_bytes: report.hop_frame_bytes,
-            bytes_per_hop: report.hop_frame_bytes as f64 / report.cross_shard_events.max(1) as f64,
-            key_bytes_interned: report.key_bytes_interned,
-        }
-    })
-    .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Off-barrier snapshots + amortized compaction (PR 5)
-// ---------------------------------------------------------------------------
-
-/// One row of the snapshot-barrier sweep: what the epoch barrier's critical
-/// path costs with off-barrier (async) snapshots vs the encode-in-barrier
-/// ablation.
-#[derive(Debug, Clone)]
-pub struct SnapshotBarrierRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Epoch barriers completed (and sealed).
-    pub epochs: u64,
-    /// Mean coordinator stall per epoch barrier, in microseconds: broadcast
-    /// → all shards acked (→ sealed, in sync mode). The quantity off-barrier
-    /// snapshots shrink: in async mode it covers only the capture walk +
-    /// acks; in sync mode it additionally contains encoding (and folding)
-    /// every byte of `snapshot_kb / epochs`.
-    pub barrier_us_per_epoch: f64,
-    /// Mean snapshot *capture* walk cost per epoch, in microseconds, summed
-    /// over shards — the part of the barrier that is irreducible.
-    pub capture_us_per_epoch: f64,
-    /// Total snapshot bytes produced, in KB.
-    pub snapshot_kb: f64,
-    /// Fraction of those bytes encoded outside the barrier (1.0 = all
-    /// encoding off the critical path; 0.0 = the PR 4 in-barrier behavior).
-    pub off_barrier_fraction: f64,
-    /// End-to-end wall-clock run time (ms) — on a 1-CPU container the total
-    /// encode work is identical either way, so expect parity here; the win
-    /// is the barrier's critical path, which multi-core overlap turns into
-    /// latency.
-    pub wall_ms: f64,
-}
-
-impl SnapshotBarrierRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<38} | {:>4} epochs | barrier {:>8.1} us/epoch (capture {:>7.1}) | {:>9.1} KB snapshots | {:>5.1} % off-barrier | {:>8.1} ms wall",
-            self.label,
-            self.epochs,
-            self.barrier_us_per_epoch,
-            self.capture_us_per_epoch,
-            self.snapshot_kb,
-            self.off_barrier_fraction * 100.0,
-            self.wall_ms
-        )
-    }
-}
-
-/// Run an update-heavy workload over payload-carrying entities at an
-/// aggressive epoch cadence, async vs sync snapshots.
-pub fn snapshot_barrier_rows(
-    requests: usize,
-    shards: usize,
-    payload_bytes: usize,
-) -> Vec<SnapshotBarrierRow> {
-    let program = account_program();
-    let accounts = 512;
-    let calls: Vec<stateful_entities::MethodCall> = (0..requests)
-        .map(|i| {
-            program
-                .ir
-                .resolve_call(
-                    "Account",
-                    stateful_entities::Key::Str(format!("acc{}", i % accounts).into()),
-                    "update",
-                    vec![stateful_entities::Value::Int(i as i64)],
-                )
-                .unwrap()
-        })
-        .collect();
-    [
-        ("async snapshots (capture-only barrier)", true),
-        ("encode-in-barrier (PR 4)", false),
-    ]
-    .into_iter()
-    .map(|(label, async_snapshots)| {
-        let config = shard_runtime::ShardConfig {
-            shards,
-            batch_size: 256,
-            epoch_every_batches: 2,
-            full_snapshot_every: 8,
-            async_snapshots,
-            ..shard_runtime::ShardConfig::default()
-        };
-        let mut rt = shard_runtime::ShardRuntime::new(program.ir.clone(), config)
-            .expect("compiled IR verifies");
-        for i in 0..accounts {
-            rt.load_entity("Account", &account_init_args(i, payload_bytes))
-                .unwrap();
-        }
-        for call in &calls {
-            rt.submit(call.clone());
-        }
-        let t = std::time::Instant::now();
-        let report = rt.run().expect("healthy run");
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(report.answered(), requests);
-        SnapshotBarrierRow {
-            label,
-            epochs: report.epochs_completed,
-            barrier_us_per_epoch: report.barrier_wall_ns as f64
-                / 1e3
-                / report.epochs_completed.max(1) as f64,
-            capture_us_per_epoch: report.barrier_capture_ns as f64
-                / 1e3
-                / report.epochs_completed.max(1) as f64,
-            snapshot_kb: report.snapshot_bytes as f64 / 1024.0,
-            off_barrier_fraction: if report.snapshot_bytes == 0 {
-                0.0
-            } else {
-                report.encode_off_barrier_bytes as f64 / report.snapshot_bytes as f64
-            },
-            wall_ms,
-        }
-    })
-    .collect()
-}
-
-/// One row of the compaction-amortization sweep (store-level, serially
-/// measurable on one core): per-barrier re-fold of the accumulated merge
-/// (PR 4 `compact()` at every epoch) vs the decoded incremental fold.
-#[derive(Debug, Clone)]
-pub struct CompactionRow {
-    /// Strategy label.
-    pub label: &'static str,
-    /// Delta epochs processed.
-    pub epochs: u64,
-    /// Total wall time folding/compacting across the run (ms).
-    pub total_ms: f64,
-    /// Entity records pushed through the codec by compaction work alone
-    /// (O(cumulative) vs O(new dirty set) shows up here structurally).
-    pub compaction_entities: u64,
-}
-
-impl CompactionRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<38} | {:>4} epochs | {:>9.2} ms total | {:>9} codec records",
-            self.label, self.epochs, self.total_ms, self.compaction_entities
-        )
-    }
-}
-
-/// Measure per-epoch compaction cost over a long delta chain: `entities`
-/// live records, `dirty_per_epoch` of them written per epoch, no full rebase
-/// for the whole run (the worst case PR 4's per-barrier compact re-folds).
-pub fn compaction_rows(epochs: u64, entities: usize, dirty_per_epoch: usize) -> Vec<CompactionRow> {
-    use state_backend::{codec_stats, PartitionState, Snapshot, SnapshotKind, SnapshotStore};
-    use stateful_entities::{EntityAddr, EntityState, Key, Value};
-
-    let addr = |i: usize| EntityAddr::new("Account", Key::Str(format!("acc{i}").into()));
-    let run = |label: &'static str, amortized: bool| -> CompactionRow {
-        let mut part = PartitionState::new();
-        for i in 0..entities {
-            let mut s = EntityState::new();
-            s.insert("balance".into(), Value::Int(i as i64));
-            s.insert("payload".into(), Value::Str("x".repeat(64).into()));
-            part.put(addr(i), s);
-        }
-        let mut store = if amortized {
-            SnapshotStore::new_amortized(1)
-        } else {
-            SnapshotStore::new(1)
-        };
-        store.add(Snapshot {
-            epoch: 1,
-            partition: 0,
-            kind: SnapshotKind::Full,
-            state: part.snapshot_full(),
-            source_offsets: std::collections::BTreeMap::new(),
-        });
-        let mut total = std::time::Duration::ZERO;
-        let before = codec_stats::current();
-        let mut snapshot_records = 0u64;
-        for epoch in 2..=(1 + epochs) {
-            for k in 0..dirty_per_epoch {
-                let idx = (epoch as usize * dirty_per_epoch + k) % entities;
-                part.update_with(&addr(idx), |s| {
-                    s.insert("balance".into(), Value::Int(epoch as i64));
-                })
-                .unwrap();
-            }
-            let delta = part.snapshot_delta();
-            snapshot_records += dirty_per_epoch as u64;
-            // The measured region: what the epoch barrier pays to keep the
-            // recovery chain at full + <= 1 delta.
-            let t = std::time::Instant::now();
-            store.add(Snapshot {
-                epoch,
-                partition: 0,
-                kind: SnapshotKind::Delta,
-                state: delta,
-                source_offsets: std::collections::BTreeMap::new(),
-            });
-            if !amortized {
-                store.compact().expect("healthy chain");
-            }
-            total += t.elapsed();
-        }
-        let cost = codec_stats::current().since(&before);
-        CompactionRow {
-            label,
-            epochs,
-            total_ms: total.as_secs_f64() * 1e3,
-            // Codec records moved by compaction alone: everything beyond
-            // the deltas' own encode+decode traffic.
-            compaction_entities: (cost.encoded_entities + cost.decoded_entities)
-                .saturating_sub(2 * snapshot_records),
-        }
-    };
-    vec![
-        run("amortized decoded fold (PR 5)", true),
-        run("re-fold per barrier (PR 4 compact)", false),
-    ]
-}
-
-/// One row of the ingress-append throughput sweep: how the group-commit
-/// window trades fsync count against appends/sec on the durable log.
-#[derive(Debug, Clone)]
-pub struct DurableAppendRow {
-    /// Appends per fsync (`LogConfig::group_commit_window`).
-    pub window: usize,
-    /// Records appended (plus one final `sync`).
-    pub records: usize,
-    /// Appends per second, wall clock, including all group-commit fsyncs.
-    pub appends_per_sec: f64,
-    /// Payload megabytes per second.
-    pub mb_per_sec: f64,
-    /// fsync calls issued (records / window, plus the closing sync).
-    pub fsyncs: u64,
-}
-
-impl DurableAppendRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "window {:>3} | {:>6} records | {:>10.0} appends/s | {:>7.2} MB/s | {:>5} fsyncs",
-            self.window, self.records, self.appends_per_sec, self.mb_per_sec, self.fsyncs
-        )
-    }
-}
-
-/// Append `records` payloads of `payload_bytes` to a single log partition
-/// for each group-commit window, ending with an explicit `sync()` so every
-/// row measures fully durable throughput.
-pub fn durable_append_rows(
-    records: usize,
-    payload_bytes: usize,
-    windows: &[usize],
-) -> Vec<DurableAppendRow> {
-    use durable_log::{FaultInjector, LogConfig, LogPartition};
-    let payload = vec![0xA5u8; payload_bytes];
-    windows
-        .iter()
-        .map(|&window| {
-            let tmp = durable_log::testutil::TempDir::new("bench-append");
-            let cfg = LogConfig {
-                group_commit_window: window,
-                segment_max_bytes: 1024 * 1024,
-            };
-            let mut log = LogPartition::create(tmp.path(), cfg, FaultInjector::new()).unwrap();
-            let t = std::time::Instant::now();
-            for i in 0..records {
-                log.append(i as u64, &payload).unwrap();
-            }
-            log.sync().unwrap();
-            let secs = t.elapsed().as_secs_f64();
-            DurableAppendRow {
-                window,
-                records,
-                appends_per_sec: records as f64 / secs,
-                mb_per_sec: (records * payload_bytes) as f64 / (1024.0 * 1024.0) / secs,
-                fsyncs: (records / window.max(1)) as u64 + 1,
-            }
-        })
-        .collect()
-}
-
-/// One row of the seal-to-durable sweep: what an epoch seal pays to reach
-/// disk — upload every partition's snapshot, then the atomic manifest
-/// commit (tmp write + fsync + rename + directory fsync).
-#[derive(Debug, Clone)]
-pub struct SealLatencyRow {
-    /// Per-partition snapshot payload, in KB.
-    pub snapshot_kb: usize,
-    /// Partitions uploaded per seal.
-    pub partitions: usize,
-    /// Median wall time of uploads + manifest commit, in microseconds.
-    pub seal_us: f64,
-    /// Share of the seal spent in the manifest commit (the serial tail that
-    /// an object-store backend would keep even with parallel uploads).
-    pub manifest_fraction: f64,
-}
-
-impl SealLatencyRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:>5} KB x {} partitions | seal {:>9.1} us | manifest commit {:>4.1} %",
-            self.snapshot_kb,
-            self.partitions,
-            self.seal_us,
-            self.manifest_fraction * 100.0
-        )
-    }
-}
-
-/// Measure the durable seal path at the `SnapshotDir` level: `partitions`
-/// uploads of `snapshot_kb` each plus one manifest commit, median of `reps`.
-pub fn seal_latency_rows(
-    partitions: usize,
-    sizes_kb: &[usize],
-    reps: usize,
-) -> Vec<SealLatencyRow> {
-    use durable_log::{FaultInjector, Manifest, SnapKind, SnapshotDir};
-    sizes_kb
-        .iter()
-        .map(|&kb| {
-            let tmp = durable_log::testutil::TempDir::new("bench-seal");
-            let fault = FaultInjector::new();
-            let dir = SnapshotDir::open(tmp.path(), &fault).unwrap();
-            let payload = vec![0x5Eu8; kb * 1024];
-            let mut seal_us = Vec::with_capacity(reps);
-            let mut manifest_us = Vec::with_capacity(reps);
-            for epoch in 1..=(reps as u64) {
-                let t = std::time::Instant::now();
-                let mut files = Vec::with_capacity(partitions);
-                for p in 0..partitions {
-                    dir.put(epoch, p as u32, SnapKind::Delta, &payload).unwrap();
-                    files.push((epoch, p as u32, SnapKind::Delta));
-                }
-                let uploads = t.elapsed();
-                dir.commit_manifest(&Manifest {
-                    sealed_epoch: epoch,
-                    incarnation: 1,
-                    shards: partitions as u32,
-                    offsets: vec![epoch; partitions],
-                    files,
-                })
-                .unwrap();
-                let total = t.elapsed();
-                seal_us.push(total.as_secs_f64() * 1e6);
-                manifest_us.push((total - uploads).as_secs_f64() * 1e6);
-            }
-            seal_us.sort_by(|a, b| a.total_cmp(b));
-            manifest_us.sort_by(|a, b| a.total_cmp(b));
-            let seal = seal_us[reps / 2];
-            SealLatencyRow {
-                snapshot_kb: kb,
-                partitions,
-                seal_us: seal,
-                manifest_fraction: manifest_us[reps / 2] / seal,
-            }
-        })
-        .collect()
-}
-
-/// One row of the cold-restart sweep: time for a brand-new process to boot
-/// from the durable directory alone.
-#[derive(Debug, Clone)]
-pub struct ColdRestartRow {
-    /// Scenario label.
-    pub label: String,
-    /// Ingress records the restart must replay through the broker.
-    pub replayed: usize,
-    /// Wall time of `ShardRuntime::new_durable` (manifest load + snapshot
-    /// reconstruction + log scan + replay), in milliseconds.
-    pub restart_ms: f64,
-}
-
-impl ColdRestartRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<44} | {:>6} records replayed | restart {:>8.2} ms",
-            self.label, self.replayed, self.restart_ms
-        )
-    }
-}
-
-/// Cold-restart time as a function of log length. For each call count the
-/// sweep boots twice from the same directory: once with the whole log
-/// unsealed (no manifest — worst case, replay everything) and once after a
-/// completed run (sealed — manifest + snapshots + tail-only replay).
-pub fn cold_restart_rows(shards: usize, call_counts: &[usize]) -> Vec<ColdRestartRow> {
-    let program = account_program();
-    let accounts = 64;
-    let make_config = |dir: &std::path::Path| shard_runtime::ShardConfig {
-        batch_size: 64,
-        epoch_every_batches: 4,
-        full_snapshot_every: 8,
-        durable: Some(shard_runtime::DurableConfig::new(dir.to_path_buf())),
-        ..shard_runtime::ShardConfig::with_shards(shards)
-    };
-    let boot = |dir: &std::path::Path| {
-        shard_runtime::ShardRuntime::new_durable(program.ir.clone(), make_config(dir))
-            .expect("healthy directory")
-    };
-    let mut rows = Vec::new();
-    for &calls in call_counts {
-        let tmp = durable_log::testutil::TempDir::new("bench-restart");
-        let mut rt = boot(tmp.path());
-        for i in 0..accounts {
-            rt.load_entity("Account", &account_init_args(i, 64))
-                .unwrap();
-        }
-        for i in 0..calls {
-            let call = program
-                .ir
-                .resolve_call(
-                    "Account",
-                    stateful_entities::Key::Str(format!("acc{}", i % accounts).into()),
-                    "update",
-                    vec![stateful_entities::Value::Int(i as i64)],
-                )
-                .unwrap();
-            rt.submit(call);
-        }
-        drop(rt); // process death before running: the whole log is unsealed
-
-        let t = std::time::Instant::now();
-        let mut rt = boot(tmp.path());
-        rows.push(ColdRestartRow {
-            label: format!("{calls} calls, nothing sealed (full replay)"),
-            replayed: calls,
-            restart_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-        for i in 0..accounts {
-            rt.load_entity("Account", &account_init_args(i, 64))
-                .unwrap();
-        }
-        rt.run().expect("healthy run");
-        drop(rt);
-
-        // The log was truncated to the sealed offsets at the final manifest
-        // commit: only the unsealed tail remains to replay.
-        let sealed: u64 = {
-            let fault = durable_log::FaultInjector::new();
-            durable_log::SnapshotDir::open(tmp.path().join("snapshots"), &fault)
-                .unwrap()
-                .load_manifest()
-                .unwrap()
-                .expect("completed run commits a manifest")
-                .offsets
-                .iter()
-                .sum()
-        };
-        let t = std::time::Instant::now();
-        let rt = boot(tmp.path());
-        rows.push(ColdRestartRow {
-            label: format!("{calls} calls, run completed (sealed + tail)"),
-            replayed: calls - sealed as usize,
-            restart_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-        drop(rt);
-    }
-    rows
-}
-
-/// One measurement row of the service front door (PR 8): a client-observed
-/// latency distribution plus the admission counters that frame it.
-#[derive(Debug, Clone)]
-pub struct ServiceRow {
-    /// Scenario label.
-    pub label: String,
-    /// Calls the client tried to place (admitted + shed-and-retried count
-    /// against the same budget in closed-loop scenarios).
-    pub offered: usize,
-    /// Calls the front door admitted.
-    pub admitted: u64,
-    /// Submissions shed with `Overloaded`.
-    pub shed: u64,
-    /// Ingress-queue high-water mark.
-    pub peak_queue: usize,
-    /// Admitted calls per wall-clock second.
-    pub throughput_rps: f64,
-    /// Mean client-observed latency (ms).
-    pub mean_ms: f64,
-    /// Median client-observed latency (ms).
-    pub p50_ms: f64,
-    /// 99th-percentile client-observed latency (ms).
-    pub p99_ms: f64,
-}
-
-impl ServiceRow {
-    /// Render as a fixed-width table row.
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<30} {:>7} offered  {:>7} adm  {:>7} shed  q<={:<5} {:>9.0} req/s  mean {:>9.4} ms  p50 {:>9.4} ms  p99 {:>9.4} ms",
-            self.label,
-            self.offered,
-            self.admitted,
-            self.shed,
-            self.peak_queue,
-            self.throughput_rps,
-            self.mean_ms,
-            self.p50_ms,
-            self.p99_ms
-        )
-    }
-
-    fn from_latencies(
-        label: String,
-        offered: usize,
-        stats: shard_runtime::service::ServiceStats,
-        wall_secs: f64,
-        mut latencies_ms: Vec<f64>,
-    ) -> Self {
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pctl = |q: f64| -> f64 {
-            if latencies_ms.is_empty() {
-                return 0.0;
-            }
-            latencies_ms[((latencies_ms.len() as f64 - 1.0) * q).round() as usize]
-        };
-        let mean = if latencies_ms.is_empty() {
-            0.0
-        } else {
-            latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64
-        };
-        ServiceRow {
-            label,
-            offered,
-            admitted: stats.admitted,
-            shed: stats.shed,
-            peak_queue: stats.peak_queue_depth,
-            throughput_rps: stats.admitted as f64 / wall_secs,
-            mean_ms: mean,
-            p50_ms: pctl(0.50),
-            p99_ms: pctl(0.99),
-        }
-    }
-}
-
-const SERVICE_BENCH_ACCOUNTS: usize = 64;
-
-fn service_bench_runtime(shards: usize, max_inflight: usize) -> shard_runtime::ShardRuntime {
-    let program = account_program();
-    let mut rt = shard_runtime::ShardRuntime::new(
-        program.ir.clone(),
-        shard_runtime::ShardConfig {
-            batch_size: 64,
-            epoch_every_batches: 8,
-            full_snapshot_every: 4,
-            max_inflight_requests: max_inflight,
-            ..shard_runtime::ShardConfig::with_shards(shards)
-        },
-    )
-    .expect("compiled IR verifies");
-    for i in 0..SERVICE_BENCH_ACCOUNTS {
-        rt.load_entity("Account", &account_init_args(i, 64))
-            .unwrap();
-    }
-    rt
-}
-
-fn service_bench_ops(count: usize) -> Vec<workloads::Operation> {
-    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    (0..count)
-        .map(|_| {
-            let key = (next() % SERVICE_BENCH_ACCOUNTS as u64) as usize;
-            match next() % 10 {
-                0..=3 => workloads::Operation::Read { key },
-                4..=6 => workloads::Operation::Credit {
-                    key,
-                    amount: (next() % 50) as i64,
-                },
-                7..=8 => workloads::Operation::Update {
-                    key,
-                    value: (next() % 10_000) as i64,
-                },
-                _ => workloads::Operation::Transfer {
-                    from: key,
-                    to: (key + 1) % SERVICE_BENCH_ACCOUNTS,
-                    amount: (next() % 20) as i64,
-                },
-            }
-        })
-        .collect()
-}
-
-/// Closed-loop client pushing `ops` through one session as fast as the front
-/// door admits them (retrying shed submissions), recording per-call
-/// submit→response latency by sequence number.
-fn service_closed_loop(
-    label: String,
-    shards: usize,
-    max_inflight: usize,
-    ops: &[workloads::Operation],
-) -> ServiceRow {
-    let ir = account_program().ir;
-    let mut rt = service_bench_runtime(shards, max_inflight);
-    let offered = ops.len();
-    let (_, row) = rt
-        .serve(|handle| {
-            let mut session = handle.session();
-            let mut send_at: Vec<std::time::Instant> = Vec::with_capacity(offered);
-            let mut latencies = vec![0.0f64; offered];
-            let mut received = 0usize;
-            let started = std::time::Instant::now();
-            for op in ops {
-                loop {
-                    match session.submit(op.to_call(&ir)) {
-                        Ok(_) => {
-                            send_at.push(std::time::Instant::now());
-                            break;
-                        }
-                        Err(shard_runtime::ShardError::Overloaded { .. }) => {
-                            while let Some(r) = session.try_recv() {
-                                latencies[r.seq as usize] =
-                                    send_at[r.seq as usize].elapsed().as_secs_f64() * 1e3;
-                                received += 1;
-                            }
-                            std::thread::yield_now();
-                        }
-                        Err(other) => panic!("submit: {other}"),
-                    }
-                }
-                while let Some(r) = session.try_recv() {
-                    latencies[r.seq as usize] =
-                        send_at[r.seq as usize].elapsed().as_secs_f64() * 1e3;
-                    received += 1;
-                }
-            }
-            while received < offered {
-                let r = session
-                    .recv_timeout(std::time::Duration::from_secs(60))
-                    .expect("admitted call answered");
-                latencies[r.seq as usize] = send_at[r.seq as usize].elapsed().as_secs_f64() * 1e3;
-                received += 1;
-            }
-            let wall = started.elapsed().as_secs_f64();
-            ServiceRow::from_latencies(label, offered, handle.stats(), wall, latencies)
-        })
-        .expect("serve");
-    row
-}
-
-/// Sustained mixed-OLTP throughput through the front door: one closed-loop
-/// session, generous admission bound (no shedding expected in steady state).
-pub fn service_sustained_row(requests: usize, shards: usize) -> ServiceRow {
-    let ops = service_bench_ops(requests);
-    service_closed_loop("sustained (inflight<=256)".to_string(), shards, 256, &ops)
-}
-
-/// Overload comparison: instantaneous bursts at 1× and 2× of `burst`, with
-/// shedding on (small admission bound — retried closed-loop, so the *admitted*
-/// latency stays bounded) vs off (`max_inflight_requests = 0` ablation — the
-/// queue absorbs everything and tail latency grows with the backlog).
-pub fn service_overload_rows(burst: usize, shards: usize, max_inflight: usize) -> Vec<ServiceRow> {
-    let mut rows = Vec::new();
-    for factor in [1usize, 2] {
-        let ops = service_bench_ops(burst * factor);
-        rows.push(service_closed_loop(
-            format!("{factor}x burst, shed on (<= {max_inflight})"),
-            shards,
-            max_inflight,
-            &ops,
-        ));
-        rows.push(service_closed_loop(
-            format!("{factor}x burst, shed off"),
-            shards,
-            0,
-            &ops,
-        ));
-    }
-    rows
-}
-
-/// Read path vs pipeline round-trip: the same point lookup served (a) from
-/// the sealed read view via `ServiceHandle::read_field` and (b) as a `read`
-/// call through the full submit→batch→retire pipeline.
-pub fn service_read_vs_pipeline_rows(
-    view_reads: usize,
-    pipeline_reads: usize,
-    shards: usize,
-) -> Vec<ServiceRow> {
-    let ir = account_program().ir;
-    let mut rt = service_bench_runtime(shards, 256);
-    let (_, rows) = rt
-        .serve(|handle| {
-            let addr = workloads::account_addr(0);
-            // (a) snapshot-isolated reads, never entering the pipeline.
-            let started = std::time::Instant::now();
-            let mut view_lat = Vec::with_capacity(view_reads);
-            for _ in 0..view_reads {
-                let t = std::time::Instant::now();
-                let read = handle.read_field(&addr, "balance");
-                view_lat.push(t.elapsed().as_secs_f64() * 1e3);
-                assert!(read.value.is_some());
-            }
-            let view_wall = started.elapsed().as_secs_f64();
-            let mut view_stats = handle.stats();
-            view_stats.admitted = view_reads as u64; // reads bypass admission
-            let view_row = ServiceRow::from_latencies(
-                "sealed-view read".to_string(),
-                view_reads,
-                view_stats,
-                view_wall,
-                view_lat,
-            );
-
-            // (b) the same lookup as a pipeline call, one outstanding at a
-            // time: submit→batch→commit→retire→response.
-            let call = workloads::Operation::Read { key: 0 };
-            let mut session = handle.session();
-            let started = std::time::Instant::now();
-            let mut pipe_lat = Vec::with_capacity(pipeline_reads);
-            for _ in 0..pipeline_reads {
-                let t = std::time::Instant::now();
-                session.submit(call.to_call(&ir)).expect("admitted");
-                let r = session
-                    .recv_timeout(std::time::Duration::from_secs(60))
-                    .expect("answered");
-                assert!(r.result.is_ok());
-                pipe_lat.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            let pipe_wall = started.elapsed().as_secs_f64();
-            let pipe_row = ServiceRow::from_latencies(
-                "pipeline round-trip read".to_string(),
-                pipeline_reads,
-                handle.stats(),
-                pipe_wall,
-                pipe_lat,
-            );
-            vec![view_row, pipe_row]
-        })
-        .expect("serve");
-    rows
-}
-
-/// CDC delivery lag: per round, update one entity through the pipeline, then
-/// measure ack→update-arrival on an entity subscription — the time from the
-/// client knowing its write committed to a subscriber seeing the post-image
-/// (covers the seal wait plus fan-out).
-pub fn service_cdc_lag_row(rounds: usize, shards: usize) -> ServiceRow {
-    let ir = account_program().ir;
-    let mut rt = service_bench_runtime(shards, 256);
-    let (_, row) = rt
-        .serve(|handle| {
-            let addr = workloads::account_addr(0);
-            let subscription = handle.subscribe_entity(addr.clone());
-            let mut session = handle.session();
-            let mut lags = Vec::with_capacity(rounds);
-            let started = std::time::Instant::now();
-            for round in 0..rounds {
-                let value = 10_000 + round as i64;
-                session
-                    .submit(workloads::Operation::Update { key: 0, value }.to_call(&ir))
-                    .expect("admitted");
-                let r = session
-                    .recv_timeout(std::time::Duration::from_secs(60))
-                    .expect("answered");
-                assert!(r.result.is_ok());
-                let acked = std::time::Instant::now();
-                loop {
-                    let update = subscription
-                        .recv_timeout(std::time::Duration::from_secs(60))
-                        .expect("CDC update for a sealed write");
-                    let seen = update
-                        .fields
-                        .iter()
-                        .any(|(n, v)| n == "balance" && *v == stateful_entities::Value::Int(value));
-                    if seen {
-                        lags.push(acked.elapsed().as_secs_f64() * 1e3);
-                        break;
-                    }
-                }
-            }
-            let wall = started.elapsed().as_secs_f64();
-            ServiceRow::from_latencies(
-                "CDC ack->delivery lag".to_string(),
-                rounds,
-                handle.stats(),
-                wall,
-                lags,
-            )
-        })
-        .expect("serve");
-    row
 }
 
 /// Sanity marker so benches can assert the virtual clock base is microseconds.

@@ -39,26 +39,6 @@ use std::collections::BTreeMap;
 /// loops that never terminate.
 const MAX_STEPS: usize = 1_000_000;
 
-/// Execution options for the split-method paths ([`start_opts`] /
-/// [`resume_opts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOpts {
-    /// Drop dead local slots from a frame when suspending at a remote call,
-    /// per the compile-time liveness at each split point
-    /// ([`RTerminator::RemoteCall::live_after`]). Shrinks the cross-shard
-    /// continuation payload; off = ship every slot (the pre-liveness
-    /// behavior, kept as an ablation).
-    pub prune_dead_locals: bool,
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts {
-            prune_dead_locals: true,
-        }
-    }
-}
-
 /// Control-flow signal produced while interpreting statement lists.
 enum Flow {
     Normal,
@@ -167,18 +147,6 @@ pub fn start(
     method: MethodId,
     args: &[Value],
 ) -> RuntimeResult<StepOutcome> {
-    start_opts(ir, addr, state, method, args, ExecOpts::default())
-}
-
-/// [`start`] with explicit execution options (liveness-pruning ablation).
-pub fn start_opts(
-    ir: &DataflowIR,
-    addr: &EntityAddr,
-    state: &mut EntityState,
-    method: MethodId,
-    args: &[Value],
-    opts: ExecOpts,
-) -> RuntimeResult<StepOutcome> {
     let op = operator_by_id(ir, addr)?;
     let compiled = op
         .method_by_id(method)
@@ -190,7 +158,7 @@ pub fn start_opts(
         }
         RMethodKind::Split { blocks } => {
             let locals = bind_params(compiled, args)?;
-            run_blocks(ir, op, addr, state, compiled, blocks, locals, 0, opts)
+            run_blocks(ir, op, addr, state, compiled, blocks, locals, 0)
         }
     }
 }
@@ -202,18 +170,6 @@ pub fn resume(
     state: &mut EntityState,
     frame: Frame,
     value: Value,
-) -> RuntimeResult<StepOutcome> {
-    resume_opts(ir, addr, state, frame, value, ExecOpts::default())
-}
-
-/// [`resume`] with explicit execution options (liveness-pruning ablation).
-pub fn resume_opts(
-    ir: &DataflowIR,
-    addr: &EntityAddr,
-    state: &mut EntityState,
-    frame: Frame,
-    value: Value,
-    opts: ExecOpts,
 ) -> RuntimeResult<StepOutcome> {
     let op = operator_by_id(ir, addr)?;
     let compiled = op.method_by_id(frame.method).ok_or_else(|| {
@@ -245,7 +201,6 @@ pub fn resume_opts(
         blocks,
         locals,
         frame.resume_block,
-        opts,
     )
 }
 
@@ -286,7 +241,6 @@ fn run_blocks(
     blocks: &[RBlock],
     mut locals: Locals,
     mut block_id: usize,
-    opts: ExecOpts,
 ) -> RuntimeResult<StepOutcome> {
     let rm = &compiled.resolved;
     let mut steps = 0usize;
@@ -365,12 +319,10 @@ fn run_blocks(
                 for arg in args {
                     arg_values.push(eval_rexpr(ir, op, state, &mut locals, rm, arg, &mut steps)?);
                 }
-                if opts.prune_dead_locals {
-                    // Ship only the slots some resume path still reads; a
-                    // wrongly dropped slot fails loudly as an undefined
-                    // variable on resume.
-                    locals.retain_slots(live_after);
-                }
+                // Ship only the slots some resume path still reads; a
+                // wrongly dropped slot fails loudly as an undefined
+                // variable on resume.
+                locals.retain_slots(live_after);
                 let frame = Frame {
                     addr: addr.clone(),
                     method: compiled.id,

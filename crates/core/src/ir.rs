@@ -359,7 +359,7 @@ impl DataflowIR {
     /// Always re-runs the analysis, even on an already-flagged IR: the
     /// public fields are freely mutable, so the flag alone cannot prove the
     /// *current* value is sound. Verification costs microseconds per corpus
-    /// program (see `benches/verify_cost.rs`) and every caller is a one-time
+    /// program (`sebench`'s `core.verify_us`) and every caller is a one-time
     /// constructor, so certainty is cheaper than a stale-cache bug.
     pub fn ensure_verified(
         &mut self,

@@ -43,18 +43,14 @@
 //!   a read iff the method's `writes_self` bit is clear; an argument
 //!   reference is a read iff the **per-parameter** write mask
 //!   (`CompiledMethod::param_effects`, the alias-propagated per-formal
-//!   analysis) clears its position. `ShardConfig::per_param_footprints =
-//!   false` collapses the mask back to the coarse `writes_ref_args` bit
-//!   (the PR 4 behavior); `precise_footprints = false` is the all-RMW
-//!   PR 3 baseline beneath both.
+//!   analysis) clears its position.
 //! * **CommWrite** — the target key of a *simple commutative* method (an
 //!   unguarded `self.f += arg` counter update, detected by the effect
 //!   analysis). Two commutative writers of one key commit in one batch
 //!   like a read-read pair: the committed calls of a batch dispatch to the
 //!   key's owning shard over a single FIFO channel in batch order, so they
 //!   apply in arrival order and the final state (and each call's return
-//!   value) is oracle-identical. `ShardConfig::commutative_commits =
-//!   false` demotes the kind to Write (the ablation baseline).
+//!   value) is oracle-identical.
 //! * **Write** — everything else.
 //!
 //! Two kinds are compatible only when both are Read or both are CommWrite;
@@ -64,9 +60,8 @@
 //!
 //! Two more PR 7 levers ride on the same analysis: workers execute with
 //! compile-time **frame liveness** pruning (dead locals are dropped from a
-//! continuation frame before it ships cross-shard; `ShardConfig::
-//! liveness_prune = false` ships every slot, and `ShardReport::
-//! hop_frame_bytes` measures the difference), and the coordinator applies
+//! continuation frame before it ships cross-shard; `ShardReport::
+//! hop_frame_bytes` measures what still ships), and the coordinator applies
 //! an **adaptive footprint fallback**: a call deferred
 //! `ShardConfig::adaptive_fallback_after` consecutive times drains the
 //! pipeline and dispatches alone — a solo batch commits unconditionally —
@@ -89,8 +84,7 @@
 //! responses happen to have arrived. The pipeline drains (a real barrier
 //! survives) in exactly three places: at epoch barriers (the snapshot cut
 //! needs quiescence), before a crash-recovery rollback, and at the end of
-//! the run. `ShardConfig::pipelined_batches = false` restores the
-//! batch-per-barrier behavior as the ablation baseline.
+//! the run.
 //! * A multi-hop call (a split method calling another entity) travels
 //!   shard-to-shard: the interpreter returns a
 //!   [`stateful_entities::StepOutcome::Call`] continuation, and the worker
@@ -110,9 +104,6 @@
 //!   buffer while its destination sits idle;
 //! * self-routed events never enter a mailbox (they go to the local queue).
 //!
-//! Per-event sends remain available (`ShardConfig::batch_mailboxes = false`)
-//! as the ablation baseline the `shard_scaling` bench measures against.
-//!
 //! ## Barrier protocol (capture, async seal, recovery)
 //!
 //! Every `epoch_every_batches` batches the coordinator drains the pipeline
@@ -125,9 +116,7 @@
 //! delta** otherwise), acks immediately, and resumes executing batches. The
 //! exact-size encoder runs in the **background**, interleaved with batch
 //! processing on the shard thread (whenever the inbox is empty), and the
-//! bytes ship to the coordinator asynchronously
-//! (`ShardConfig::async_snapshots = false` restores encode-in-barrier as
-//! the ablation baseline).
+//! bytes ship to the coordinator asynchronously.
 //!
 //! The **sealed-epoch invariant**: an epoch becomes a recovery point only
 //! when *every* shard's bytes have arrived (and every older epoch sealed) —
@@ -154,7 +143,7 @@
 //! flight from the failed timeline (un-encoded captures included) is dropped
 //! on receipt. The egress deduplicates by call id across the failure, so
 //! clients observe every response exactly once — `tests/shard_recovery.rs`
-//! asserts this across randomized injection points, in both snapshot modes.
+//! asserts this across randomized injection points.
 //! Recovery itself never panics: a corrupt chain surfaces as
 //! [`ShardError::CorruptSnapshot`], missing chain data as
 //! [`ShardError::IncompleteEpoch`].
@@ -373,60 +362,12 @@ pub struct ShardConfig {
     /// Every `full_snapshot_every`-th epoch captures the full partition;
     /// the epochs in between emit dirty-entity deltas (`1` = always full).
     pub full_snapshot_every: u64,
-    /// Buffer cross-shard events per `(shard, ClassId)` and send them as
-    /// vectors (`true`, the default) instead of one channel send per event
-    /// (`false`, the ablation baseline).
-    pub batch_mailboxes: bool,
-    /// Classify footprint keys with the compile-time write-set analysis
-    /// (`true`, the default): read-only keys conflict only with writers, so
-    /// read-read pairs share a batch. `false` treats every key as
-    /// read-modify-write (the PR 3 behavior) — the ablation baseline the
-    /// read-storm bench measures against.
-    pub precise_footprints: bool,
-    /// Classify argument references with the **per-parameter** write masks
-    /// (`true`, the default): an argument flowing only into read-only
-    /// formals stays a read even when the method writes *some* ref arg.
-    /// `false` collapses to the coarse per-method `writes_ref_args` bit
-    /// (the PR 4 behavior) — the ablation baseline the audited-transfer
-    /// bench measures against. No effect with `precise_footprints = false`.
-    pub per_param_footprints: bool,
-    /// Grant the **CommWrite** footprint kind to target keys of simple
-    /// commutative methods (`true`, the default): commuting increments of
-    /// one hot key share a batch. `false` keeps them exclusive writers —
-    /// the ablation baseline the hot-key storm bench measures against. No
-    /// effect with `precise_footprints = false`.
-    pub commutative_commits: bool,
-    /// Drop dead local slots from continuation frames at remote-call split
-    /// points, per the compile-time liveness analysis (`true`, the
-    /// default). `false` ships every slot (the pre-PR 7 payload) — the
-    /// ablation baseline `ShardReport::hop_frame_bytes` measures against.
-    pub liveness_prune: bool,
     /// A call deferred this many consecutive times triggers the adaptive
     /// fallback: the coordinator drains the pipeline and dispatches the
     /// starved call alone (a solo batch commits unconditionally, whatever
     /// its footprint). Bounds worst-case latency under sustained conflict
     /// storms; `0` disables the fallback.
     pub adaptive_fallback_after: u32,
-    /// Overlap execution of consecutive batches (`true`, the default): batch
-    /// `k+1` is conflict-checked against the in-flight batch `k` and its
-    /// non-conflicting calls dispatch before `k`'s responses are collected.
-    /// `false` retires every batch before dispatching the next (the PR 3
-    /// full barrier) — the ablation baseline.
-    pub pipelined_batches: bool,
-    /// Take snapshots **off the barrier** (`true`, the default): at an epoch
-    /// barrier a shard only *captures* its dirty set (a copy-on-write
-    /// refcount walk), acks immediately, and encodes the capture in the
-    /// background, interleaved with batch processing; the epoch *seals* —
-    /// becomes a recovery point — only when every shard's bytes have reached
-    /// the coordinator. `false` encodes inside the barrier and seals before
-    /// the barrier returns (the PR 4 behavior) — the ablation baseline.
-    pub async_snapshots: bool,
-    /// Fold each sealed delta into a per-partition decoded merge (`true`,
-    /// the default — the PR 5 amortized store) or keep every raw delta until
-    /// an explicit compaction (`false`, the classic store). The durable tier
-    /// persists either shape: a merged delta uploads as one `merged` file, a
-    /// classic chain as its raw `full`/`delta` files.
-    pub amortized_store: bool,
     /// Backpressure bound for background snapshot encoding: a shard holding
     /// more than this many un-encoded captures encodes the oldest early and
     /// spills it to a checksummed blob on disk (durable deployments only —
@@ -438,9 +379,9 @@ pub struct ShardConfig {
     pub durable: Option<DurableConfig>,
     /// Admission bound for [`ShardRuntime::serve`]: at most this many
     /// admitted-but-unanswered calls; beyond it, `submit` sheds with
-    /// [`ShardError::Overloaded`]. `0` disables shedding (the ablation
-    /// baseline — the ingress queue then grows without bound under
-    /// overload). Ignored outside service mode.
+    /// [`ShardError::Overloaded`]. `0` disables shedding (the ingress queue
+    /// then grows without bound under overload). Ignored outside service
+    /// mode.
     pub max_inflight_requests: usize,
     /// Egress dedup retention horizon, in sealed epochs: responses both
     /// (a) below the consumed-prefix watermark of the retention-floor epoch
@@ -478,15 +419,7 @@ impl Default for ShardConfig {
             batch_size: 128,
             epoch_every_batches: 8,
             full_snapshot_every: 4,
-            batch_mailboxes: true,
-            precise_footprints: true,
-            per_param_footprints: true,
-            commutative_commits: true,
-            liveness_prune: true,
             adaptive_fallback_after: 4,
-            pipelined_batches: true,
-            async_snapshots: true,
-            amortized_store: true,
             max_pending_captures: 8,
             durable: None,
             max_inflight_requests: 1024,
@@ -850,17 +783,18 @@ pub struct ShardReport {
     /// observed across all sealed epochs (compaction bounds this at 1).
     pub max_delta_chain: u64,
     /// Total nanoseconds the epoch barriers spent in the snapshot *capture*
-    /// walk, summed across shards and epochs. With `async_snapshots` this is
-    /// the barrier's entire snapshot cost — encoding happens off-barrier.
+    /// walk, summed across shards and epochs. This is the barrier's entire
+    /// snapshot cost — encoding happens off-barrier.
     pub barrier_capture_ns: u64,
     /// Total nanoseconds the coordinator was stalled inside epoch barriers:
-    /// broadcast → every shard acked (→ epoch sealed, in the sync ablation).
-    /// The pipeline is drained on entry either way; this is the *additional*
-    /// snapshot-protocol stall the paper's async barrier argument targets.
+    /// broadcast → every shard acked. The pipeline is drained on entry; this
+    /// is the *additional* snapshot-protocol stall the paper's async barrier
+    /// argument targets.
     pub barrier_wall_ns: u64,
     /// Snapshot bytes encoded **outside** the barrier (in the background,
-    /// interleaved with batch processing). With `async_snapshots` every
-    /// post-baseline snapshot byte lands here; the sync ablation reports 0.
+    /// interleaved with batch processing). Every post-baseline snapshot is
+    /// encoded off-barrier, so this always equals `snapshot_bytes`; it stays
+    /// because external harnesses report the off-barrier fraction from it.
     pub encode_off_barrier_bytes: u64,
     /// The sealed epoch each recovery rolled back to, in order. A crash in
     /// the capture→encode window must land on an epoch *older* than the one
@@ -876,8 +810,8 @@ pub struct ShardReport {
     pub adaptive_fallbacks: u64,
     /// Total approximate bytes of continuation-frame payload (suspended
     /// locals) carried by **cross-shard** `Invoke`/`Resume` events, summed
-    /// across shards. The liveness pruning ablation
-    /// ([`ShardConfig::liveness_prune`]) moves exactly this number.
+    /// across shards. Frame liveness pruning keeps this to the slots a
+    /// resume path still reads.
     pub hop_frame_bytes: u64,
     /// Bytes of duplicate hot-key allocations avoided by the per-partition
     /// key interner, summed across shards (see
@@ -1072,16 +1006,13 @@ enum ToCoordinator {
         capture_ns: u64,
         stamp: Option<racecheck::Stamp>,
     },
-    /// A capture's encoded bytes, shipped when the encoder ran — inside the
-    /// barrier in sync mode, in the background otherwise. The epoch seals
-    /// once every shard's bytes arrived.
+    /// A capture's encoded bytes, shipped when the background encoder ran.
+    /// The epoch seals once every shard's bytes arrived.
     SnapshotBytes {
         incarnation: u64,
         shard: usize,
         epoch: u64,
         kind: SnapshotKind,
-        /// True iff the encode ran outside the barrier window.
-        off_barrier: bool,
         bytes: Vec<u8>,
     },
     /// The worker received an event it cannot route (see
@@ -1145,13 +1076,6 @@ struct ShardWorker {
     inbox: Receiver<ToShard>,
     peers: Vec<Sender<ToShard>>,
     coordinator: Sender<ToCoordinator>,
-    batch_mailboxes: bool,
-    /// Interpreter options (liveness pruning on/off) for every
-    /// `start`/`resume` step this worker runs.
-    exec_opts: interp::ExecOpts,
-    /// Encode captures in the background (off the barrier) instead of inside
-    /// the barrier handler.
-    async_snapshots: bool,
     /// Captures taken at barriers, awaiting background encoding — oldest
     /// first. Each carries the (incarnation, epoch) it was cut at.
     pending_encodes: VecDeque<PendingEncode>,
@@ -1285,8 +1209,8 @@ impl ShardWorker {
                     return true;
                 }
                 // The barrier's critical path: the copy-on-write capture
-                // walk. Ack immediately; encoding is deferred (async mode)
-                // or runs right here (sync ablation).
+                // walk. Ack immediately; encoding is deferred to the
+                // background.
                 let t0 = Instant::now();
                 let capture = if full {
                     self.state.capture_full()
@@ -1326,16 +1250,12 @@ impl ShardWorker {
                     capture_ns,
                     stamp: ack_stamp,
                 });
-                if self.async_snapshots {
-                    self.pending_encodes.push_back(PendingEncode::Captured {
-                        incarnation,
-                        epoch,
-                        capture,
-                    });
-                    self.spill_excess();
-                } else {
-                    self.ship_capture(incarnation, epoch, &capture, false);
-                }
+                self.pending_encodes.push_back(PendingEncode::Captured {
+                    incarnation,
+                    epoch,
+                    capture,
+                });
+                self.spill_excess();
             }
             ToShard::Reset {
                 incarnation,
@@ -1457,7 +1377,13 @@ impl ShardWorker {
                 capture,
             } => {
                 if incarnation == self.incarnation {
-                    self.ship_capture(incarnation, epoch, &capture, true);
+                    let _ = self.coordinator.send(ToCoordinator::SnapshotBytes {
+                        incarnation,
+                        shard: self.shard,
+                        epoch,
+                        kind: capture.kind(),
+                        bytes: capture.encode(),
+                    });
                 }
             }
             PendingEncode::Spilled {
@@ -1475,7 +1401,6 @@ impl ShardWorker {
                         shard: self.shard,
                         epoch,
                         kind,
-                        off_barrier: true,
                         bytes,
                     });
                 }
@@ -1483,25 +1408,6 @@ impl ShardWorker {
             }
         }
         Ok(true)
-    }
-
-    /// Run the exact-size encoder over a capture and send the bytes.
-    fn ship_capture(
-        &self,
-        incarnation: u64,
-        epoch: u64,
-        capture: &SnapshotCapture,
-        off_barrier: bool,
-    ) {
-        let bytes = capture.encode();
-        let _ = self.coordinator.send(ToCoordinator::SnapshotBytes {
-            incarnation,
-            shard: self.shard,
-            epoch,
-            kind: capture.kind(),
-            off_barrier,
-            bytes,
-        });
     }
 
     /// Process the local queue to exhaustion (events this shard routed to
@@ -1526,9 +1432,8 @@ impl ShardWorker {
                 // duplicate string allocations.
                 let addr = self.state.intern_addr(call.target);
                 let ir = &self.ir;
-                let opts = self.exec_opts;
                 let outcome = self.state.update_with(&addr, |state| {
-                    interp::start_opts(ir, &addr, state, call.method, &call.args, opts)
+                    interp::start(ir, &addr, state, call.method, &call.args)
                 });
                 self.after_step(call_id, &addr, outcome, stack)?;
             }
@@ -1542,9 +1447,8 @@ impl ShardWorker {
                 };
                 let addr = self.state.intern_addr(frame.addr.clone());
                 let ir = &self.ir;
-                let opts = self.exec_opts;
                 let outcome = self.state.update_with(&addr, |state| {
-                    interp::resume_opts(ir, &addr, state, frame, value, opts)
+                    interp::resume(ir, &addr, state, frame, value)
                 });
                 self.after_step(call_id, &addr, outcome, stack)?;
             }
@@ -1591,7 +1495,7 @@ impl ShardWorker {
 
     /// Route a follow-up event by cached-hash modulo: to the local queue if
     /// this shard owns the target, otherwise into the per-`(shard, class)`
-    /// mailbox buffer (or straight onto the channel in the ablation mode).
+    /// mailbox buffer.
     ///
     /// An event with no routable address, or whose [`ShardMap`] destination
     /// is outside the peer table (a bad route), used to
@@ -1629,21 +1533,7 @@ impl ShardWorker {
                 }
                 _ => 0,
             };
-            if self.batch_mailboxes {
-                self.out.entry((dest, class)).or_default().push(event);
-            } else {
-                self.cross_shard_batches += 1;
-                self.cross_shard_events += 1;
-                if let Some(rng) = &mut self.schedule {
-                    rng.pause(racecheck::ScheduleSite::ChannelSend);
-                }
-                let stamp = self.monitor.as_ref().map(|m| m.stamp(self.role));
-                let _ = self.peers[dest].send(ToShard::Events {
-                    incarnation: self.incarnation,
-                    events: vec![event],
-                    stamp,
-                });
-            }
+            self.out.entry((dest, class)).or_default().push(event);
         }
         Ok(())
     }
@@ -2188,16 +2078,11 @@ impl ShardRuntime {
             ..ShardReport::default()
         };
 
-        // Amortized mode: each sealed delta folds into a per-partition
-        // decoded merge (O(new dirty set) per epoch), so the recovery chain
-        // is permanently `full + ≤ 1 merged delta` with no per-barrier
-        // re-encode of the accumulated delta. Classic mode keeps the raw
-        // delta chain (the durable matrix exercises both).
-        let mut snapshot_store = if self.config.amortized_store {
-            SnapshotStore::new_amortized(shards)
-        } else {
-            SnapshotStore::new(shards)
-        };
+        // Each sealed delta folds into a per-partition decoded merge
+        // (O(new dirty set) per epoch), so the recovery chain is permanently
+        // `full + ≤ 1 merged delta` with no per-barrier re-encode of the
+        // accumulated delta.
+        let mut snapshot_store = SnapshotStore::new_amortized(shards);
         let start_offsets: Vec<u64> = (0..shards)
             .map(|p| self.ingress.committed(INGRESS_GROUP, INGRESS_TOPIC, p))
             .collect();
@@ -2253,11 +2138,6 @@ impl ShardRuntime {
                 inbox: rx,
                 peers: shard_txs.clone(),
                 coordinator: coord_tx.clone(),
-                batch_mailboxes: self.config.batch_mailboxes,
-                exec_opts: interp::ExecOpts {
-                    prune_dead_locals: self.config.liveness_prune,
-                },
-                async_snapshots: self.config.async_snapshots,
                 pending_encodes: VecDeque::new(),
                 spill_dir: self.durable.as_ref().map(|t| t.spill_dir.clone()),
                 max_pending_captures: self.config.max_pending_captures,
@@ -2490,20 +2370,6 @@ fn access_conflict(a: u8, b: u8) -> bool {
     union != ACCESS_READ && union != ACCESS_COMM
 }
 
-/// Which knobs shape a batch's footprints (a copy of the relevant
-/// [`ShardConfig`] bits, so [`FootprintSet::add_call`] stays decoupled from
-/// the config struct).
-#[derive(Debug, Clone, Copy)]
-struct FootprintMode {
-    /// Use the compile-time effect analysis at all (`false` = all-RMW).
-    precise: bool,
-    /// Use per-parameter write masks for argument references (`false` =
-    /// the coarse per-method `writes_ref_args` bit).
-    per_param: bool,
-    /// Grant `ACCESS_COMM` to commutative targets (`false` = plain write).
-    commutative: bool,
-}
-
 /// One call's deduplicated conflict footprint: each key tagged with the
 /// access mask the call chain may exercise on it. Keys of all calls of a
 /// batch live contiguously in one reused arena (no per-call allocation on
@@ -2550,11 +2416,8 @@ impl FootprintSet {
     /// reference among the arguments (scanned through lists), each key
     /// classified on the Read / CommWrite / Write lattice by the
     /// compile-time effect bits on the resolved IR. The target key follows
-    /// `writes_self` (escalating commutative targets to `ACCESS_COMM` when
-    /// `mode.commutative` allows); argument keys follow the per-parameter
-    /// write mask `param_effects[j]` (or, with `mode.per_param` off, the
-    /// coarse `writes_ref_args` bit). `mode.precise = false` restores the
-    /// all-RMW classification.
+    /// `writes_self` (escalating commutative targets to `ACCESS_COMM`);
+    /// argument keys follow the per-parameter write mask `param_effects[j]`.
     ///
     /// **Soundness of the key set.** The footprint must cover every entity
     /// the whole call chain can touch. This holds for *every* program the
@@ -2580,7 +2443,7 @@ impl FootprintSet {
     /// so intra-batch peers apply in arrival order (see the module docs).
     /// An unknown method (impossible for calls built by `resolve_call`)
     /// classifies everything as written.
-    fn add_call(&mut self, ir: &DataflowIR, call: &MethodCall, mode: FootprintMode) {
+    fn add_call(&mut self, ir: &DataflowIR, call: &MethodCall) {
         fn scan(set: &mut FootprintSet, start: usize, value: &Value, access: u8) {
             match value {
                 Value::EntityRef(addr) => {
@@ -2595,15 +2458,12 @@ impl FootprintSet {
             }
         }
         let start = self.keys.len();
-        let method = if mode.precise {
-            ir.operator_by_id(call.target.class)
-                .and_then(|op| op.method_by_id(call.method))
-        } else {
-            None
-        };
+        let method = ir
+            .operator_by_id(call.target.class)
+            .and_then(|op| op.method_by_id(call.method));
         let target_access = match method {
             Some(m) if !m.writes_self => ACCESS_READ,
-            Some(m) if m.commutative && mode.commutative => ACCESS_COMM,
+            Some(m) if m.commutative => ACCESS_COMM,
             _ => ACCESS_WRITE,
         };
         self.add_key(
@@ -2612,21 +2472,8 @@ impl FootprintSet {
             target_access,
         );
         for (j, arg) in call.args.iter().enumerate() {
-            let access = match method {
-                Some(m) => {
-                    let writes = if mode.per_param {
-                        m.param_effects.get(j).copied().unwrap_or(true)
-                    } else {
-                        m.writes_ref_args
-                    };
-                    if writes {
-                        ACCESS_WRITE
-                    } else {
-                        ACCESS_READ
-                    }
-                }
-                None => ACCESS_WRITE,
-            };
+            let writes = method.is_none_or(|m| m.param_effects.get(j).copied().unwrap_or(true));
+            let access = if writes { ACCESS_WRITE } else { ACCESS_READ };
             scan(self, start, arg, access);
         }
         self.spans.push((start as u32, self.keys.len() as u32));
@@ -2922,8 +2769,7 @@ impl Coordinator<'_> {
     /// Main batch loop: form → commit-rule (seeded with the in-flight
     /// batch's reservations) → dispatch → (maybe crash) → retire the
     /// *previous* batch → promote → (maybe barrier), until ingress, deferral
-    /// queue, and pipeline drain. With `pipelined_batches = false` every
-    /// batch retires immediately after dispatch (the PR 3 full barrier).
+    /// queue, and pipeline drain.
     fn drive(&mut self, report: &mut ShardReport) -> Result<(), ShardError> {
         loop {
             // Service mode: admit whatever the sessions queued since the
@@ -3005,13 +2851,6 @@ impl Coordinator<'_> {
                 }
             }
             self.in_flight = Some(flight);
-            if !self.runtime.config.pipelined_batches {
-                // Invariant: assigned two lines up, unconditionally.
-                let now = self.in_flight.take().expect("just promoted");
-                if self.retire_batch(now, report)? {
-                    continue;
-                }
-            }
             self.batches_since_epoch += 1;
 
             let cadence = self.runtime.config.epoch_every_batches;
@@ -3120,15 +2959,9 @@ impl Coordinator<'_> {
         batch: Vec<(IngressRequest, u32)>,
         report: &mut ShardReport,
     ) -> InFlightBatch {
-        let mode = FootprintMode {
-            precise: self.runtime.config.precise_footprints,
-            per_param: self.runtime.config.per_param_footprints,
-            commutative: self.runtime.config.commutative_commits,
-        };
         self.footprints.clear();
         for (request, _) in &batch {
-            self.footprints
-                .add_call(&self.runtime.ir, &request.call, mode);
+            self.footprints.add_call(&self.runtime.ir, &request.call);
         }
         let mut deferred_mask = ordered_commit_mask(
             &self.footprints,
@@ -3350,18 +3183,9 @@ impl Coordinator<'_> {
                 shard,
                 epoch,
                 kind,
-                off_barrier,
                 bytes,
             } => {
-                self.absorb_snapshot_bytes(
-                    report,
-                    incarnation,
-                    shard,
-                    epoch,
-                    kind,
-                    off_barrier,
-                    bytes,
-                )?;
+                self.absorb_snapshot_bytes(report, incarnation, shard, epoch, kind, bytes)?;
             }
             ToCoordinator::Responses { incarnation, .. } => {
                 debug_assert_ne!(incarnation, self.incarnation, "live response dropped");
@@ -3382,7 +3206,6 @@ impl Coordinator<'_> {
     /// completes an epoch (and every older epoch) — **seal** it: the epoch
     /// becomes the recovery point, its ingress offsets are committed, and
     /// the compaction invariants are re-checked.
-    #[allow(clippy::too_many_arguments)]
     fn absorb_snapshot_bytes(
         &mut self,
         report: &mut ShardReport,
@@ -3390,7 +3213,6 @@ impl Coordinator<'_> {
         shard: usize,
         epoch: u64,
         kind: SnapshotKind,
-        off_barrier: bool,
         bytes: Vec<u8>,
     ) -> Result<(), ShardError> {
         if incarnation != self.incarnation {
@@ -3431,9 +3253,7 @@ impl Coordinator<'_> {
             report.delta_snapshots_taken += 1;
         }
         report.snapshot_bytes += bytes.len() as u64;
-        if off_barrier {
-            report.encode_off_barrier_bytes += bytes.len() as u64;
-        }
+        report.encode_off_barrier_bytes += bytes.len() as u64;
         let source_offsets = self
             .pending_offsets
             .get(&epoch)
@@ -3594,8 +3414,8 @@ impl Coordinator<'_> {
                         .put(tier.file_epoch(e), p as u32, skind, &bytes)?;
                 }
             }
-            // Amortized mode: the chain past the anchor lives as one lazily
-            // merged delta; upload it in place of the pruned raw deltas. The
+            // The chain past the anchor lives as one lazily merged delta;
+            // upload it in place of the pruned raw deltas. The
             // merge grows every seal, so it is always re-uploaded under the
             // sealed epoch's name.
             if let Some(bytes) = self.snapshot_store.merged_delta_bytes(p) {
@@ -3754,16 +3574,6 @@ impl Coordinator<'_> {
             return Ok(());
         }
         drop(stashed); // no plan fired ⇒ unreachable (armed plans fire here)
-
-        if !self.runtime.config.async_snapshots {
-            // Sync ablation: the barrier additionally blocks until this
-            // epoch's bytes (encoded inside the barrier handler on every
-            // shard) have all arrived and sealed it — the PR 4 behavior.
-            while !self.snapshot_store.is_sealed(self.epoch) {
-                let msg = self.recv_message()?;
-                self.absorb_background(report, msg)?;
-            }
-        }
         report.barrier_wall_ns += barrier_t0.elapsed().as_nanos() as u64;
         Ok(())
     }
@@ -4034,17 +3844,12 @@ entity Proxy:
             };
             requests.push(IngressRequest { call_id, call });
         }
-        let mode = FootprintMode {
-            precise: true,
-            per_param: true,
-            commutative: true,
-        };
         let mut reservations = ConflictMap::default();
         let mut footprints = FootprintSet::default();
         for batch in requests.chunks(16) {
             footprints.clear();
             for request in batch {
-                footprints.add_call(ir, &request.call, mode);
+                footprints.add_call(ir, &request.call);
             }
             let mask = ordered_commit_mask(&footprints, None, &mut reservations);
             let txns: Vec<Transaction> = batch
@@ -4252,51 +4057,39 @@ entity Proxy:
         );
     }
 
-    /// Tentpole (c) ablation: a hot-key credit storm commits in shared
-    /// batches when commutative classes are on (zero deferrals) and
-    /// serializes one-per-batch when they're off — with bit-for-bit equal
-    /// responses and final balances either way, because committed calls
-    /// dispatch FIFO to the owning shard in batch order.
+    /// Structural pin: a hot-key credit storm commits in shared batches
+    /// (zero deferrals) because commuting credits share the CommWrite kind,
+    /// and committed calls dispatch FIFO to the owning shard in batch order,
+    /// so the balance is the sequential sum. 48 credits at batch size 16
+    /// fill 3 batches; the ceiling allows one more, far below the dozens a
+    /// serialized storm needs.
     #[test]
     fn commutative_storm_commits_in_shared_batches() {
-        let run = |commutative: bool| {
-            let mut rt = account_runtime(
-                ShardConfig {
-                    batch_size: 16,
-                    commutative_commits: commutative,
-                    ..ShardConfig::with_shards(2)
-                },
-                4,
-            );
-            for i in 0..48u64 {
-                rt.submit(call(
-                    &rt,
-                    "acc0",
-                    "credit",
-                    vec![Value::Int(1 + (i as i64 % 3))],
-                ));
-            }
-            let report = rt.run().unwrap();
-            let balance = rt
-                .read_field("Account", Key::Str("acc0".into()), "balance")
-                .unwrap();
-            (report, balance)
-        };
-        let (on, balance_on) = run(true);
-        let (off, balance_off) = run(false);
-        assert_eq!(on.deferrals, 0, "commuting credits share batches");
-        assert!(
-            off.deferrals > 0,
-            "exclusive-write baseline defers the hot key"
+        let mut rt = account_runtime(
+            ShardConfig {
+                batch_size: 16,
+                ..ShardConfig::with_shards(2)
+            },
+            4,
         );
+        let mut credited = 0;
+        for i in 0..48u64 {
+            let amount = 1 + (i as i64 % 3);
+            credited += amount;
+            rt.submit(call(&rt, "acc0", "credit", vec![Value::Int(amount)]));
+        }
+        let report = rt.run().unwrap();
+        assert_eq!(report.deferrals, 0, "commuting credits share batches");
         assert!(
-            on.batches < off.batches,
-            "commutative classes must shrink the batch count ({} vs {})",
-            on.batches,
-            off.batches
+            report.batches <= 4,
+            "48 credits at batch size 16 need 3 batches, got {}",
+            report.batches
         );
-        assert_eq!(on.responses, off.responses);
-        assert_eq!(balance_on, balance_off);
+        assert_eq!(report.responses.len(), 48);
+        assert_eq!(
+            rt.read_field("Account", Key::Str("acc0".into()), "balance"),
+            Some(Value::Int(1_000 + credited))
+        );
     }
 
     /// Satellite: a call that keeps losing the commit race under pipelining
@@ -4310,7 +4103,6 @@ entity Proxy:
             let mut rt = account_runtime(
                 ShardConfig {
                     batch_size: 8,
-                    pipelined_batches: true,
                     adaptive_fallback_after: threshold,
                     ..ShardConfig::with_shards(2)
                 },
@@ -4340,45 +4132,38 @@ entity Proxy:
         assert_eq!(states_with, states_without);
     }
 
-    /// Tentpole (b) measurement: liveness pruning drops dead frame slots
-    /// (`enough`, `to`, the resume target) before a continuation crosses
-    /// shards, so the bytes-per-hop counter strictly shrinks while the
-    /// observable outcome is untouched.
+    /// Structural pin: liveness pruning drops dead frame slots (`enough`,
+    /// `to`, the resume target) before a continuation crosses shards. Pruned
+    /// frames take 41 bytes per cross-shard event here and unpruned ones 73,
+    /// so the ceiling of 50 fails if pruning stops.
     #[test]
     fn liveness_pruning_shrinks_cross_shard_frames() {
-        let run = |prune: bool| {
-            let mut rt = account_runtime(
-                ShardConfig {
-                    batch_size: 8,
-                    liveness_prune: prune,
-                    ..ShardConfig::with_shards(4)
-                },
-                8,
-            );
-            for i in 0..40u64 {
-                let to_ref =
-                    Value::entity_ref("Account", Key::Str(format!("acc{}", (i + 3) % 8).into()));
-                rt.submit(call(
-                    &rt,
-                    &format!("acc{}", i % 8),
-                    "transfer",
-                    vec![Value::Int(2), to_ref],
-                ));
-            }
-            let report = rt.run().unwrap();
-            (report, rt.final_states())
-        };
-        let (pruned, states_pruned) = run(true);
-        let (unpruned, states_unpruned) = run(false);
-        assert!(pruned.hop_frame_bytes > 0, "transfers must hop shards");
-        assert!(
-            pruned.hop_frame_bytes < unpruned.hop_frame_bytes,
-            "pruned frames must be smaller on the wire ({} vs {})",
-            pruned.hop_frame_bytes,
-            unpruned.hop_frame_bytes
+        let mut rt = account_runtime(
+            ShardConfig {
+                batch_size: 8,
+                ..ShardConfig::with_shards(4)
+            },
+            8,
         );
-        assert_eq!(pruned.responses, unpruned.responses);
-        assert_eq!(states_pruned, states_unpruned);
+        for i in 0..40u64 {
+            let to_ref =
+                Value::entity_ref("Account", Key::Str(format!("acc{}", (i + 3) % 8).into()));
+            rt.submit(call(
+                &rt,
+                &format!("acc{}", i % 8),
+                "transfer",
+                vec![Value::Int(2), to_ref],
+            ));
+        }
+        let report = rt.run().unwrap();
+        assert!(report.cross_shard_events > 0, "transfers must hop shards");
+        assert!(
+            report.hop_frame_bytes <= 50 * report.cross_shard_events,
+            "pruned frames must stay small on the wire ({} bytes over {} events)",
+            report.hop_frame_bytes,
+            report.cross_shard_events
+        );
+        assert!(report.responses.values().all(|v| *v == Value::Bool(true)));
     }
 
     #[test]
@@ -4535,9 +4320,6 @@ entity Proxy:
             inbox: rx_in,
             peers,
             coordinator: coord_tx,
-            batch_mailboxes: true,
-            exec_opts: interp::ExecOpts::default(),
-            async_snapshots: true,
             pending_encodes: VecDeque::new(),
             spill_dir: None,
             max_pending_captures: 8,
@@ -4719,30 +4501,35 @@ entity Proxy:
         assert!(report.errors[&id.0].contains("does not exist"));
     }
 
+    /// Structural pin: cross-shard events travel in per-`(shard, class)`
+    /// mailbox vectors, so a batch of disjoint transfers ships fewer channel
+    /// messages than events, and money is still conserved.
     #[test]
     fn per_event_sends_compute_the_same_results() {
-        let run = |batch_mailboxes: bool| {
-            let mut rt = account_runtime(
-                ShardConfig {
-                    batch_mailboxes,
-                    ..ShardConfig::with_shards(4)
-                },
-                8,
-            );
-            for i in 0..30u64 {
-                let to_ref =
-                    Value::entity_ref("Account", Key::Str(format!("acc{}", (i + 3) % 8).into()));
-                rt.submit(call(
-                    &rt,
-                    &format!("acc{}", i % 8),
-                    "transfer",
-                    vec![Value::Int(2), to_ref],
-                ));
-            }
-            let report = rt.run().unwrap();
-            (report.responses.clone(), rt.final_states())
-        };
-        assert_eq!(run(true), run(false));
+        let mut rt = account_runtime(ShardConfig::with_shards(4), 64);
+        for i in 0..30u64 {
+            let to_ref = Value::entity_ref("Account", Key::Str(format!("acc{}", i + 32).into()));
+            rt.submit(call(
+                &rt,
+                &format!("acc{i}"),
+                "transfer",
+                vec![Value::Int(2), to_ref],
+            ));
+        }
+        let report = rt.run().unwrap();
+        assert!(report.responses.values().all(|v| *v == Value::Bool(true)));
+        assert!(
+            report.cross_shard_batches < report.cross_shard_events,
+            "mailboxes must group events ({} flushes for {} events)",
+            report.cross_shard_batches,
+            report.cross_shard_events
+        );
+        let total: i64 = rt
+            .final_states()
+            .values()
+            .map(|s| s["balance"].as_int().unwrap())
+            .sum();
+        assert_eq!(total, 64 * 1_000);
     }
 }
 

@@ -243,7 +243,7 @@ struct ReadView {
 /// `xtask lint` (rule `lock-order`) fails the build on an undocumented one.
 pub struct ServiceCore {
     map: Arc<ShardMap>,
-    /// Admission bound; `0` disables shedding (the ablation baseline).
+    /// Admission bound; `0` disables shedding.
     max_inflight: usize,
     inflight: AtomicUsize,
     admitted: AtomicU64,

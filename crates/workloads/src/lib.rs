@@ -144,7 +144,7 @@ pub enum Operation {
     /// Transfer that first consults a shared audit-log account
     /// (`Account.transfer_audited`): the log reference is **read-only**
     /// under per-parameter effect analysis but an exclusive write under the
-    /// one-bit `writes_ref_args` summary — the ablation workload for
+    /// one-bit `writes_ref_args` summary — the workload that exercises
     /// per-parameter write sets.
     TransferAudited {
         /// Debited account index.

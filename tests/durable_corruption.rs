@@ -286,43 +286,39 @@ fn shard_count_mismatch_is_a_typed_error() {
 #[test]
 fn snapshot_directory_holds_exactly_the_manifest_after_rollback_recovery() {
     use shard_runtime::FailurePlan;
-    for amortized in [false, true] {
-        let tmp = TempDir::new("corrupt-gc");
-        let fault = FaultInjector::new();
-        let program = account_program();
-        let mut cfg = config(tmp.path(), &fault);
-        cfg.amortized_store = amortized;
-        let mut rt = ShardRuntime::new_durable(program.ir.clone(), cfg).unwrap();
-        for i in 0..ACCOUNTS {
-            rt.load_entity("Account", &account_init_args(i, 16))
-                .unwrap();
-        }
-        for call in workload() {
-            rt.try_submit(call).expect("durable append");
-        }
-        let report = rt
-            .run_with_failure(FailurePlan::after_delivery(7, 2))
+    let tmp = TempDir::new("corrupt-gc");
+    let fault = FaultInjector::new();
+    let program = account_program();
+    let mut rt = ShardRuntime::new_durable(program.ir.clone(), config(tmp.path(), &fault)).unwrap();
+    for i in 0..ACCOUNTS {
+        rt.load_entity("Account", &account_init_args(i, 16))
             .unwrap();
-        assert_eq!(report.recoveries, 1, "the rollback must fire");
-        drop(rt);
+    }
+    for call in workload() {
+        rt.try_submit(call).expect("durable append");
+    }
+    let report = rt
+        .run_with_failure(FailurePlan::after_delivery(7, 2))
+        .unwrap();
+    assert_eq!(report.recoveries, 1, "the rollback must fire");
+    drop(rt);
 
-        let inspect = FaultInjector::new();
-        let snapshots = SnapshotDir::open(tmp.path().join("snapshots"), &inspect).unwrap();
-        let manifest = snapshots
-            .load_manifest()
-            .unwrap()
-            .expect("manifest committed");
-        let on_disk = snapshots.snapshot_file_count().unwrap();
-        assert_eq!(
-            on_disk,
-            manifest.files.len(),
-            "amortized={amortized}: snapshot files on disk must match the manifest exactly"
-        );
-        for &(epoch, partition, kind) in &manifest.files {
-            snapshots.get(epoch, partition, kind).unwrap_or_else(|e| {
-                panic!("amortized={amortized}: referenced file unreadable: {e}")
-            });
-        }
+    let inspect = FaultInjector::new();
+    let snapshots = SnapshotDir::open(tmp.path().join("snapshots"), &inspect).unwrap();
+    let manifest = snapshots
+        .load_manifest()
+        .unwrap()
+        .expect("manifest committed");
+    let on_disk = snapshots.snapshot_file_count().unwrap();
+    assert_eq!(
+        on_disk,
+        manifest.files.len(),
+        "snapshot files on disk must match the manifest exactly"
+    );
+    for &(epoch, partition, kind) in &manifest.files {
+        snapshots
+            .get(epoch, partition, kind)
+            .unwrap_or_else(|e| panic!("referenced file unreadable: {e}"));
     }
 }
 
@@ -336,7 +332,6 @@ fn capture_spilling_under_zero_budget_stays_correct() {
     let program = account_program();
     let mut cfg = config(tmp.path(), &fault);
     cfg.epoch_every_batches = 1;
-    cfg.async_snapshots = true;
     cfg.max_pending_captures = 0;
     let mut rt = ShardRuntime::new_durable(program.ir.clone(), cfg).unwrap();
     for i in 0..ACCOUNTS {

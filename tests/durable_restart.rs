@@ -2,9 +2,8 @@
 //! alone, under torn-write fault injection, stays bit-for-bit equal to the
 //! sequential `LocalRuntime` oracle.
 //!
-//! The matrix crosses the corpus workload with both snapshot-store shapes
-//! ({classic raw-delta chains, amortized folded merges}) and ≥ 8 seeded
-//! injection points spanning every durable crash flavor:
+//! The matrix runs the corpus workload through ≥ 8 seeded injection points
+//! spanning every durable crash flavor:
 //!
 //! * `MidAppend` / `MidFsync` during the **submit phase** — the ingress log
 //!   tears mid-record or the group-commit fsync never lands;
@@ -75,12 +74,11 @@ fn oracle(calls: &[MethodCall]) -> (Vec<Outcome>, BTreeMap<String, EntityState>)
     (outcomes, states)
 }
 
-fn config(dir: &Path, amortized: bool, fault: &FaultInjector) -> ShardConfig {
+fn config(dir: &Path, fault: &FaultInjector) -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
         full_snapshot_every: 3,
-        amortized_store: amortized,
         durable: Some(DurableConfig {
             dir: dir.to_path_buf(),
             group_commit_window: 4,
@@ -94,9 +92,9 @@ fn config(dir: &Path, amortized: bool, fault: &FaultInjector) -> ShardConfig {
 /// Boot a deployment from the durable directory alone. A fresh directory
 /// (no manifest → no recovered instances) gets the initial entity load; a
 /// recovered one must **not** be re-loaded.
-fn boot(dir: &Path, amortized: bool, fault: &FaultInjector) -> ShardRuntime {
+fn boot(dir: &Path, fault: &FaultInjector) -> ShardRuntime {
     let program = account_program();
-    let mut rt = ShardRuntime::new_durable(program.ir.clone(), config(dir, amortized, fault))
+    let mut rt = ShardRuntime::new_durable(program.ir.clone(), config(dir, fault))
         .expect("boot from durable directory");
     if rt.instance_count() == 0 {
         for i in 0..ACCOUNTS {
@@ -175,45 +173,43 @@ fn assert_matches_oracle(
 /// boot (nothing left to replay) agrees too.
 #[test]
 fn clean_cold_restart_reaches_the_same_states() {
-    for amortized in [false, true] {
-        let tmp = TempDir::new("durable-clean");
-        let fault = FaultInjector::new();
-        let calls = workload();
+    let tmp = TempDir::new("durable-clean");
+    let fault = FaultInjector::new();
+    let calls = workload();
 
-        let mut rt = boot(tmp.path(), amortized, &fault);
-        for call in &calls {
-            rt.try_submit(call.clone()).expect("durable append");
-        }
-        let report = rt.run().unwrap();
-        assert_eq!(report.answered(), calls.len());
-        let egress = report_outcomes(&report);
-        let states_before = states_by_key(&rt);
-        assert_matches_oracle(&egress, &states_before, &calls, "first run");
-        drop(rt);
-
-        let mut restarted = boot(tmp.path(), amortized, &fault);
-        assert!(
-            restarted.instance_count() > 0,
-            "restart must recover entities from the manifest, not re-load them"
-        );
-        restarted.run().unwrap();
-        assert_eq!(
-            states_by_key(&restarted),
-            states_before,
-            "amortized={amortized}: cold restart diverged"
-        );
-        drop(restarted);
-
-        let mut again = boot(tmp.path(), amortized, &fault);
-        again.run().unwrap();
-        assert_eq!(states_by_key(&again), states_before);
+    let mut rt = boot(tmp.path(), &fault);
+    for call in &calls {
+        rt.try_submit(call.clone()).expect("durable append");
     }
+    let report = rt.run().unwrap();
+    assert_eq!(report.answered(), calls.len());
+    let egress = report_outcomes(&report);
+    let states_before = states_by_key(&rt);
+    assert_matches_oracle(&egress, &states_before, &calls, "first run");
+    drop(rt);
+
+    let mut restarted = boot(tmp.path(), &fault);
+    assert!(
+        restarted.instance_count() > 0,
+        "restart must recover entities from the manifest, not re-load them"
+    );
+    restarted.run().unwrap();
+    assert_eq!(
+        states_by_key(&restarted),
+        states_before,
+        "cold restart diverged"
+    );
+    drop(restarted);
+
+    let mut again = boot(tmp.path(), &fault);
+    again.run().unwrap();
+    assert_eq!(states_by_key(&again), states_before);
 }
 
 /// Submit-phase crashes: the ingress log tears mid-append or the group
 /// commit dies mid-fsync. The durable prefix is exactly the decodable
 /// records; a fresh process replays it and must match the oracle over that
-/// prefix. 4 seeded points × both store modes.
+/// prefix. 4 seeded points.
 #[test]
 fn submit_phase_crashes_replay_the_durable_prefix() {
     let cases = [
@@ -222,44 +218,42 @@ fn submit_phase_crashes_replay_the_durable_prefix() {
         (CrashPoint::MidFsync, 0),
         (CrashPoint::MidFsync, 2),
     ];
-    for amortized in [false, true] {
-        for &(point, skip) in &cases {
-            let context = format!("amortized={amortized} {point} skip={skip}");
-            let tmp = TempDir::new("durable-submit");
-            let fault = FaultInjector::new();
-            let calls = workload();
+    for &(point, skip) in &cases {
+        let context = format!("{point} skip={skip}");
+        let tmp = TempDir::new("durable-submit");
+        let fault = FaultInjector::new();
+        let calls = workload();
 
-            let mut rt = boot(tmp.path(), amortized, &fault);
-            fault.arm(point, skip);
-            let mut survivors: Vec<MethodCall> = Vec::new();
-            let mut crashed = false;
-            for call in &calls {
-                match rt.try_submit(call.clone()) {
-                    Ok(_) => survivors.push(call.clone()),
-                    Err(ShardError::Durable {
-                        error: DurableError::CrashInjected { .. },
-                    }) => {
-                        // Mid-fsync the record's bytes are already in the
-                        // file (flushed, whole) — it survives even though the
-                        // submitter saw an error. Mid-append tears it.
-                        if point == CrashPoint::MidFsync {
-                            survivors.push(call.clone());
-                        }
-                        crashed = true;
-                        break;
+        let mut rt = boot(tmp.path(), &fault);
+        fault.arm(point, skip);
+        let mut survivors: Vec<MethodCall> = Vec::new();
+        let mut crashed = false;
+        for call in &calls {
+            match rt.try_submit(call.clone()) {
+                Ok(_) => survivors.push(call.clone()),
+                Err(ShardError::Durable {
+                    error: DurableError::CrashInjected { .. },
+                }) => {
+                    // Mid-fsync the record's bytes are already in the
+                    // file (flushed, whole) — it survives even though the
+                    // submitter saw an error. Mid-append tears it.
+                    if point == CrashPoint::MidFsync {
+                        survivors.push(call.clone());
                     }
-                    Err(other) => panic!("{context}: unexpected submit error {other}"),
+                    crashed = true;
+                    break;
                 }
+                Err(other) => panic!("{context}: unexpected submit error {other}"),
             }
-            assert!(crashed, "{context}: the armed crash must fire");
-            assert!(!survivors.is_empty(), "{context}: sanity");
-            drop(rt); // process death: buffers flush, nothing else happens
-
-            let mut restarted = boot(tmp.path(), amortized, &fault);
-            let report = restarted.run().unwrap();
-            let egress = report_outcomes(&report);
-            assert_matches_oracle(&egress, &states_by_key(&restarted), &survivors, &context);
         }
+        assert!(crashed, "{context}: the armed crash must fire");
+        assert!(!survivors.is_empty(), "{context}: sanity");
+        drop(rt); // process death: buffers flush, nothing else happens
+
+        let mut restarted = boot(tmp.path(), &fault);
+        let report = restarted.run().unwrap();
+        let egress = report_outcomes(&report);
+        assert_matches_oracle(&egress, &states_by_key(&restarted), &survivors, &context);
     }
 }
 
@@ -268,8 +262,8 @@ fn submit_phase_crashes_replay_the_durable_prefix() {
 /// mid-run seals. The run surfaces `ShardError::Durable`; a fresh process
 /// boots from the directory, replays from the last on-disk seal, and the
 /// union of both processes' egress equals the oracle over *all* calls.
-/// 6 seeded points × both store modes (10 points total with the submit-phase
-/// matrix above — the acceptance floor is 8).
+/// 6 seeded points (10 points total with the submit-phase matrix above —
+/// the acceptance floor is 8).
 #[test]
 fn mid_run_crashes_recover_to_the_oracle() {
     let cases = [
@@ -280,39 +274,37 @@ fn mid_run_crashes_recover_to_the_oracle() {
         (CrashPoint::MidManifestRename, 3),
         (CrashPoint::MidManifestRename, 9),
     ];
-    for amortized in [false, true] {
-        for &(point, skip) in &cases {
-            let context = format!("amortized={amortized} {point} skip={skip}");
-            let tmp = TempDir::new("durable-midrun");
-            let fault = FaultInjector::new();
-            let calls = workload();
+    for &(point, skip) in &cases {
+        let context = format!("{point} skip={skip}");
+        let tmp = TempDir::new("durable-midrun");
+        let fault = FaultInjector::new();
+        let calls = workload();
 
-            let mut rt = boot(tmp.path(), amortized, &fault);
-            for call in &calls {
-                rt.try_submit(call.clone()).expect("durable append");
-            }
-            fault.arm(point, skip);
-            let error = rt.run().expect_err("the armed crash must fail the run");
-            match error {
-                ShardError::Durable {
-                    error: DurableError::CrashInjected { point: fired },
-                } => assert_eq!(fired, point, "{context}"),
-                other => panic!("{context}: expected an injected crash, got {other}"),
-            }
-            let partial = rt.partial_egress().clone();
-            let partial: BTreeMap<u64, Outcome> = partial.into_iter().collect();
-            drop(rt);
-            assert_eq!(
-                fault.armed(),
-                None,
-                "{context}: the plan fired exactly once"
-            );
-
-            let mut restarted = boot(tmp.path(), amortized, &fault);
-            let report = restarted.run().unwrap();
-            let egress = union_egress(partial, report_outcomes(&report), &context);
-            assert_matches_oracle(&egress, &states_by_key(&restarted), &calls, &context);
+        let mut rt = boot(tmp.path(), &fault);
+        for call in &calls {
+            rt.try_submit(call.clone()).expect("durable append");
         }
+        fault.arm(point, skip);
+        let error = rt.run().expect_err("the armed crash must fail the run");
+        match error {
+            ShardError::Durable {
+                error: DurableError::CrashInjected { point: fired },
+            } => assert_eq!(fired, point, "{context}"),
+            other => panic!("{context}: expected an injected crash, got {other}"),
+        }
+        let partial = rt.partial_egress().clone();
+        let partial: BTreeMap<u64, Outcome> = partial.into_iter().collect();
+        drop(rt);
+        assert_eq!(
+            fault.armed(),
+            None,
+            "{context}: the plan fired exactly once"
+        );
+
+        let mut restarted = boot(tmp.path(), &fault);
+        let report = restarted.run().unwrap();
+        let egress = union_egress(partial, report_outcomes(&report), &context);
+        assert_matches_oracle(&egress, &states_by_key(&restarted), &calls, &context);
     }
 }
 
@@ -322,63 +314,56 @@ fn mid_run_crashes_recover_to_the_oracle() {
 /// with the replayed second-wave prefix.
 #[test]
 fn crash_after_an_established_manifest_replays_only_the_tail() {
-    for amortized in [false, true] {
-        let context = format!("amortized={amortized} established+mid-append");
-        let tmp = TempDir::new("durable-established");
-        let fault = FaultInjector::new();
-        let calls = workload();
-        let (first_wave, second_wave) = calls.split_at(calls.len() / 2);
+    let context = "established+mid-append";
+    let tmp = TempDir::new("durable-established");
+    let fault = FaultInjector::new();
+    let calls = workload();
+    let (first_wave, second_wave) = calls.split_at(calls.len() / 2);
 
-        let mut rt = boot(tmp.path(), amortized, &fault);
-        for call in first_wave {
-            rt.try_submit(call.clone()).expect("durable append");
-        }
-        let report = rt.run().unwrap();
-        let mut egress = report_outcomes(&report);
-
-        fault.arm(CrashPoint::MidAppend, 11);
-        let mut durable_calls: Vec<MethodCall> = first_wave.to_vec();
-        for call in second_wave {
-            match rt.try_submit(call.clone()) {
-                Ok(_) => durable_calls.push(call.clone()),
-                Err(_) => break,
-            }
-        }
-        assert!(
-            durable_calls.len() > first_wave.len(),
-            "{context}: some of the second wave must land"
-        );
-        drop(rt);
-
-        let mut restarted = boot(tmp.path(), amortized, &fault);
-        assert!(
-            restarted.instance_count() > 0,
-            "{context}: manifest recovery"
-        );
-        let report = restarted.run().unwrap();
-        assert!(
-            report.answered() < durable_calls.len(),
-            "{context}: the sealed first wave must not be re-answered"
-        );
-        egress = union_egress(egress, report_outcomes(&report), &context);
-        assert_matches_oracle(
-            &egress,
-            &states_by_key(&restarted),
-            &durable_calls,
-            &context,
-        );
+    let mut rt = boot(tmp.path(), &fault);
+    for call in first_wave {
+        rt.try_submit(call.clone()).expect("durable append");
     }
+    let report = rt.run().unwrap();
+    let mut egress = report_outcomes(&report);
+
+    fault.arm(CrashPoint::MidAppend, 11);
+    let mut durable_calls: Vec<MethodCall> = first_wave.to_vec();
+    for call in second_wave {
+        match rt.try_submit(call.clone()) {
+            Ok(_) => durable_calls.push(call.clone()),
+            Err(_) => break,
+        }
+    }
+    assert!(
+        durable_calls.len() > first_wave.len(),
+        "{context}: some of the second wave must land"
+    );
+    drop(rt);
+
+    let mut restarted = boot(tmp.path(), &fault);
+    assert!(
+        restarted.instance_count() > 0,
+        "{context}: manifest recovery"
+    );
+    let report = restarted.run().unwrap();
+    assert!(
+        report.answered() < durable_calls.len(),
+        "{context}: the sealed first wave must not be re-answered"
+    );
+    egress = union_egress(egress, report_outcomes(&report), context);
+    assert_matches_oracle(&egress, &states_by_key(&restarted), &durable_calls, context);
 }
 
 /// PR 7 liveness satellite: a **split-method** workload (100 % transfers,
 /// every call suspending a continuation frame that may hop shards) crashed
-/// mid-run and cold-restarted must replay to the oracle — with frame
-/// liveness pruning ON and OFF, landing on identical final states. Pruned
-/// frames drop dead locals at the split point; the durable tier discards all
-/// in-flight frames at the crash and replays calls from the ingress log, so
-/// pruning must be invisible to recovery in both directions.
+/// mid-run and cold-restarted must replay to the oracle. Pruned frames drop
+/// dead locals at the split point; the durable tier discards all in-flight
+/// frames at the crash and replays calls from the ingress log, so pruning
+/// must be invisible to recovery.
 #[test]
-fn liveness_pruned_split_frames_replay_after_cold_restart() {
+fn pruned_split_frames_replay_after_cold_restart() {
+    let context = "split+mid-upload";
     let program = account_program();
     let calls: Vec<MethodCall> = {
         let spec = WorkloadSpec {
@@ -394,57 +379,32 @@ fn liveness_pruned_split_frames_replay_after_cold_restart() {
             .map(|op| op.to_call(&program.ir))
             .collect()
     };
-    let mut final_states: Vec<BTreeMap<String, EntityState>> = Vec::new();
-    for prune in [true, false] {
-        let context = format!("liveness_prune={prune} split+mid-upload");
-        let tmp = TempDir::new("durable-split");
-        let fault = FaultInjector::new();
-        let cfg = |fault: &FaultInjector| ShardConfig {
-            liveness_prune: prune,
-            ..config(tmp.path(), true, fault)
-        };
-        let boot_with = |fault: &FaultInjector| {
-            let mut rt = ShardRuntime::new_durable(program.ir.clone(), cfg(fault))
-                .expect("boot from durable directory");
-            if rt.instance_count() == 0 {
-                for i in 0..ACCOUNTS {
-                    rt.load_entity("Account", &account_init_args(i, 16))
-                        .unwrap();
-                }
-            }
-            rt
-        };
+    let tmp = TempDir::new("durable-split");
+    let fault = FaultInjector::new();
 
-        let mut rt = boot_with(&fault);
-        for call in &calls {
-            rt.try_submit(call.clone()).expect("durable append");
-        }
-        fault.arm(CrashPoint::MidUpload, 4);
-        let error = rt.run().expect_err("the armed crash must fail the run");
-        match error {
-            ShardError::Durable {
-                error: DurableError::CrashInjected { .. },
-            } => {}
-            other => panic!("{context}: expected an injected crash, got {other}"),
-        }
-        let partial: BTreeMap<u64, Outcome> = rt.partial_egress().clone().into_iter().collect();
-        drop(rt);
-
-        let mut restarted = boot_with(&fault);
-        assert!(
-            restarted.instance_count() > 0,
-            "{context}: manifest recovery"
-        );
-        let report = restarted.run().unwrap();
-        let egress = union_egress(partial, report_outcomes(&report), &context);
-        let states = states_by_key(&restarted);
-        assert_matches_oracle(&egress, &states, &calls, &context);
-        final_states.push(states);
+    let mut rt = boot(tmp.path(), &fault);
+    for call in &calls {
+        rt.try_submit(call.clone()).expect("durable append");
     }
-    assert_eq!(
-        final_states[0], final_states[1],
-        "pruned and unpruned recoveries must land on identical states"
+    fault.arm(CrashPoint::MidUpload, 4);
+    let error = rt.run().expect_err("the armed crash must fail the run");
+    match error {
+        ShardError::Durable {
+            error: DurableError::CrashInjected { .. },
+        } => {}
+        other => panic!("{context}: expected an injected crash, got {other}"),
+    }
+    let partial: BTreeMap<u64, Outcome> = rt.partial_egress().clone().into_iter().collect();
+    drop(rt);
+
+    let mut restarted = boot(tmp.path(), &fault);
+    assert!(
+        restarted.instance_count() > 0,
+        "{context}: manifest recovery"
     );
+    let report = restarted.run().unwrap();
+    let egress = union_egress(partial, report_outcomes(&report), context);
+    assert_matches_oracle(&egress, &states_by_key(&restarted), &calls, context);
 }
 
 /// In-memory rollback (PR 3's kill-a-shard flavor) composed with the durable
@@ -454,31 +414,29 @@ fn liveness_pruned_split_frames_replay_after_cold_restart() {
 #[test]
 fn in_memory_recovery_keeps_the_durable_chain_coherent() {
     use shard_runtime::FailurePlan;
-    for amortized in [false, true] {
-        let context = format!("amortized={amortized} rollback+restart");
-        let tmp = TempDir::new("durable-rollback");
-        let fault = FaultInjector::new();
-        let calls = workload();
+    let context = "rollback+restart";
+    let tmp = TempDir::new("durable-rollback");
+    let fault = FaultInjector::new();
+    let calls = workload();
 
-        let mut rt = boot(tmp.path(), amortized, &fault);
-        for call in &calls {
-            rt.try_submit(call.clone()).expect("durable append");
-        }
-        let report = rt
-            .run_with_failure(FailurePlan::after_delivery(9, 1))
-            .unwrap();
-        assert_eq!(report.recoveries, 1, "{context}: the plan must fire");
-        let egress = report_outcomes(&report);
-        let states = states_by_key(&rt);
-        assert_matches_oracle(&egress, &states, &calls, &context);
-        drop(rt);
-
-        let mut restarted = boot(tmp.path(), amortized, &fault);
-        restarted.run().unwrap();
-        assert_eq!(
-            states_by_key(&restarted),
-            states,
-            "{context}: restart diverged"
-        );
+    let mut rt = boot(tmp.path(), &fault);
+    for call in &calls {
+        rt.try_submit(call.clone()).expect("durable append");
     }
+    let report = rt
+        .run_with_failure(FailurePlan::after_delivery(9, 1))
+        .unwrap();
+    assert_eq!(report.recoveries, 1, "{context}: the plan must fire");
+    let egress = report_outcomes(&report);
+    let states = states_by_key(&rt);
+    assert_matches_oracle(&egress, &states, &calls, context);
+    drop(rt);
+
+    let mut restarted = boot(tmp.path(), &fault);
+    restarted.run().unwrap();
+    assert_eq!(
+        states_by_key(&restarted),
+        states,
+        "{context}: restart diverged"
+    );
 }

@@ -191,10 +191,10 @@ fn dropped_barrier_ack_stamp_trips_the_cut_race() {
     let config = ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
-        // Synchronous snapshots: the bytes travel inside the ack message
-        // itself, so the ack stamp is the *only* edge ordering capture
+        // The snapshot bytes travel in a separate, unstamped `SnapshotBytes`
+        // message queued FIFO behind the stamped barrier ack on the same
+        // channel, so the ack stamp is the *only* edge ordering capture
         // against absorb — exactly the edge the defect removes.
-        async_snapshots: false,
         monitor: Some(Arc::clone(&monitor)),
         defect: racecheck::DefectPlan {
             drop_barrier_ack_stamp: true,
@@ -326,37 +326,34 @@ fn mis_masked_conflict_pair_trips_the_certifier() {
 #[test]
 fn undefected_runs_stay_clean_under_both_defect_workloads() {
     let program = account_program();
-    for async_snapshots in [true, false] {
-        let monitor = Monitor::armed();
-        let config = ShardConfig {
-            batch_size: 8,
-            epoch_every_batches: 2,
-            async_snapshots,
-            monitor: Some(Arc::clone(&monitor)),
-            ..ShardConfig::with_shards(SHARDS)
-        };
-        let mut rt = ShardRuntime::new(program.ir.clone(), config).expect("compiled IR verifies");
-        rt.load_entity("Account", &account_init_args(0, 16))
+    let monitor = Monitor::armed();
+    let config = ShardConfig {
+        batch_size: 8,
+        epoch_every_batches: 2,
+        monitor: Some(Arc::clone(&monitor)),
+        ..ShardConfig::with_shards(SHARDS)
+    };
+    let mut rt = ShardRuntime::new(program.ir.clone(), config).expect("compiled IR verifies");
+    rt.load_entity("Account", &account_init_args(0, 16))
+        .unwrap();
+    for n in 0..16 {
+        let call = program
+            .ir
+            .resolve_call(
+                "Account",
+                Key::Str("acc0".into()),
+                "update",
+                vec![Value::Int(n)],
+            )
             .unwrap();
-        for n in 0..16 {
-            let call = program
-                .ir
-                .resolve_call(
-                    "Account",
-                    Key::Str("acc0".into()),
-                    "update",
-                    vec![Value::Int(n)],
-                )
-                .unwrap();
-            rt.submit(call);
-        }
-        rt.run().unwrap();
-        assert!(
-            monitor.is_clean(),
-            "async={async_snapshots}: clean engine must not alarm:\n{}",
-            monitor.report()
-        );
+        rt.submit(call);
     }
+    rt.run().unwrap();
+    assert!(
+        monitor.is_clean(),
+        "clean engine must not alarm:\n{}",
+        monitor.report()
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 //! the barrier, background encoding interleaved with batch work, and
 //! sealed-epoch recovery gating.
 //!
-//! * With `async_snapshots` on (the default), the epoch barrier's critical
-//!   path contains **no snapshot encoding**: every post-baseline snapshot
-//!   byte is encoded off-barrier (`report.encode_off_barrier_bytes` equals
-//!   `report.snapshot_bytes`), while the barrier itself pays only the
-//!   capture walk (`report.barrier_capture_ns`). The sync ablation encodes
-//!   everything inside the barrier (0 off-barrier bytes).
+//! * The epoch barrier's critical path contains **no snapshot encoding**:
+//!   every post-baseline snapshot byte is encoded off-barrier
+//!   (`report.encode_off_barrier_bytes` equals `report.snapshot_bytes`),
+//!   while the barrier itself pays only the capture walk
+//!   (`report.barrier_capture_ns`).
 //! * A crash injected **between barrier ack and background-encode
 //!   completion** (`FailureMode::MidEncode`) must discard the pending epoch
 //!   wholesale and recover to the last *sealed* epoch — pinned exactly via
@@ -17,9 +16,9 @@
 //!   leaves recovery chains at full + ≤ 1 merged delta
 //!   (`report.max_delta_chain == 1`) with folds actually happening
 //!   (`report.snapshots_compacted > 0`).
-//! * All three scheduling knobs (`async_snapshots`, `pipelined_batches`,
-//!   `precise_footprints`) stay oracle-equivalent in every combination —
-//!   the optimizations change schedules and byte timing, never results.
+//! * Background encoding, pipelined batches and precise footprints together
+//!   stay oracle-equivalent — they change schedules and byte timing, never
+//!   results.
 
 use shard_runtime::{FailurePlan, ShardConfig, ShardRuntime};
 use stateful_entities::{Key, MethodCall, Value};
@@ -100,47 +99,24 @@ fn run(
 fn barrier_critical_path_contains_no_encoding() {
     let calls = mixed_calls(120);
     let oracle = oracle_outcomes(&calls);
-    let base = ShardConfig {
+    let config = ShardConfig {
         batch_size: 8,
         epoch_every_batches: 3,
         full_snapshot_every: 4,
         ..ShardConfig::with_shards(3)
     };
 
-    let (async_report, async_out) = run(base.clone(), &calls);
-    assert_eq!(async_out, oracle);
-    assert!(async_report.epochs_completed >= 3, "cadence sanity");
-    assert!(
-        async_report.snapshot_bytes > 0,
-        "epochs must actually snapshot"
-    );
-    // The tentpole claim: every post-baseline byte was encoded OUTSIDE the
-    // barrier — the barrier paid only the capture walk.
+    let (report, out) = run(config, &calls);
+    assert_eq!(out, oracle);
+    assert!(report.epochs_completed >= 3, "cadence sanity");
+    assert!(report.snapshot_bytes > 0, "epochs must actually snapshot");
+    // Every post-baseline byte was encoded OUTSIDE the barrier — the
+    // barrier paid only the capture walk.
     assert_eq!(
-        async_report.encode_off_barrier_bytes, async_report.snapshot_bytes,
-        "async mode must encode nothing inside the barrier"
+        report.encode_off_barrier_bytes, report.snapshot_bytes,
+        "the barrier must encode nothing"
     );
-    assert!(
-        async_report.barrier_capture_ns > 0,
-        "the capture walk is timed"
-    );
-
-    // Sync ablation: identical answers, every byte encoded in-barrier.
-    let (sync_report, sync_out) = run(
-        ShardConfig {
-            async_snapshots: false,
-            ..base
-        },
-        &calls,
-    );
-    assert_eq!(sync_out, oracle);
-    assert_eq!(
-        sync_report.encode_off_barrier_bytes, 0,
-        "the sync ablation encodes inside the barrier only"
-    );
-    assert_eq!(sync_report.responses, async_report.responses);
-    // Both modes complete and seal the same epochs for the same workload.
-    assert_eq!(sync_report.epochs_completed, async_report.epochs_completed);
+    assert!(report.barrier_capture_ns > 0, "the capture walk is timed");
 }
 
 #[test]
@@ -238,60 +214,45 @@ fn mid_encode_crash_recovers_through_a_folded_merged_delta() {
 
 #[test]
 fn amortized_compaction_invariant_holds_under_async_sealing() {
-    for async_snapshots in [true, false] {
-        let calls = mixed_calls(160);
-        let (report, out) = run(
-            ShardConfig {
-                batch_size: 4,
-                epoch_every_batches: 1,
-                full_snapshot_every: 10_000,
-                async_snapshots,
-                ..ShardConfig::with_shards(3)
-            },
-            &calls,
-        );
-        assert_eq!(out, oracle_outcomes(&calls), "async={async_snapshots}");
-        assert!(report.epochs_completed >= 10, "async={async_snapshots}");
-        assert!(
-            report.snapshots_compacted > 0,
-            "async={async_snapshots}: folds must happen at this cadence"
-        );
-        assert_eq!(
-            report.max_delta_chain, 1,
-            "async={async_snapshots}: every sealed epoch leaves full + ≤1 merged delta"
-        );
-    }
+    let calls = mixed_calls(160);
+    let (report, out) = run(
+        ShardConfig {
+            batch_size: 4,
+            epoch_every_batches: 1,
+            full_snapshot_every: 10_000,
+            ..ShardConfig::with_shards(3)
+        },
+        &calls,
+    );
+    assert_eq!(out, oracle_outcomes(&calls));
+    assert!(report.epochs_completed >= 10);
+    assert!(
+        report.snapshots_compacted > 0,
+        "folds must happen at this cadence"
+    );
+    assert_eq!(
+        report.max_delta_chain, 1,
+        "every sealed epoch leaves full + ≤1 merged delta"
+    );
 }
 
 #[test]
 fn all_snapshot_pipeline_footprint_knobs_stay_oracle_equivalent() {
     let calls = mixed_calls(90);
     let oracle = oracle_outcomes(&calls);
-    for async_snapshots in [true, false] {
-        for pipelined in [true, false] {
-            for precise in [true, false] {
-                let (_, out) = run(
-                    ShardConfig {
-                        batch_size: 7,
-                        epoch_every_batches: 4,
-                        async_snapshots,
-                        pipelined_batches: pipelined,
-                        precise_footprints: precise,
-                        ..ShardConfig::with_shards(4)
-                    },
-                    &calls,
-                );
-                assert_eq!(
-                    out, oracle,
-                    "async={async_snapshots} pipelined={pipelined} precise={precise}"
-                );
-            }
-        }
-    }
+    let (_, out) = run(
+        ShardConfig {
+            batch_size: 7,
+            epoch_every_batches: 4,
+            ..ShardConfig::with_shards(4)
+        },
+        &calls,
+    );
+    assert_eq!(out, oracle);
 }
 
 #[test]
-fn async_snapshots_are_deterministic_across_repetitions() {
+fn background_snapshots_are_deterministic_across_repetitions() {
     // Byte arrival timing is scheduling-dependent; results must not be.
     let calls = mixed_calls(100);
     let config = ShardConfig {

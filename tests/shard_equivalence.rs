@@ -272,12 +272,12 @@ fn multi_class_split_methods_match_oracle() {
 
 #[test]
 fn knob_matrix_matches_oracle() {
-    // PR 7 ablation matrix: every combination of the three precision knobs
-    // (per-parameter write sets, commutative commit classes, frame-liveness
-    // pruning) must produce oracle-identical responses and states. The
-    // workload leans on every feature at once: commutative credit storms on a
-    // hot key, blind updates, transfers, and audited transfers whose audit
-    // ref is read-only under per-param analysis.
+    // The precision features (per-parameter write sets, commutative commit
+    // classes, frame-liveness pruning) must produce oracle-identical
+    // responses and states. The workload leans on every feature at once:
+    // commutative credit storms on a hot key, blind updates, transfers, and
+    // audited transfers whose audit ref is read-only under per-param
+    // analysis.
     let program = account_program();
     let accounts = 8usize;
 
@@ -322,8 +322,8 @@ fn knob_matrix_matches_oracle() {
                         vec![
                             Value::Int(1),
                             Value::entity_ref("Account", key(b)),
-                            // Shared read-only audit ref: hot under one-bit
-                            // effects, harmless under per-param analysis.
+                            // Shared read-only audit ref: a read under
+                            // per-param analysis, so it never conflicts.
                             Value::entity_ref("Account", key(7)),
                         ],
                     )
@@ -342,52 +342,39 @@ fn knob_matrix_matches_oracle() {
         .map(|(k, s)| (k.to_string(), s))
         .collect();
 
-    for combo in 0u8..8 {
-        let per_param = combo & 1 != 0;
-        let commutative = combo & 2 != 0;
-        let liveness = combo & 4 != 0;
-        for shards in [1usize, 4] {
-            let mut rt = ShardRuntime::new(
-                program.ir.clone(),
-                ShardConfig {
-                    batch_size: 16,
-                    epoch_every_batches: 3,
-                    per_param_footprints: per_param,
-                    commutative_commits: commutative,
-                    liveness_prune: liveness,
-                    ..ShardConfig::with_shards(shards)
-                },
-            )
-            .expect("compiled IR verifies");
-            for i in 0..accounts {
-                rt.load_entity("Account", &account_init_args(i, 16))
-                    .unwrap();
-            }
-            let ids: Vec<u64> = script.iter().map(|c| rt.submit(c.clone()).0).collect();
-            let report = rt.run().unwrap();
-            let out: Vec<OracleOutcome> = ids
-                .iter()
-                .map(|id| match report.responses.get(id) {
-                    Some(v) => Ok(v.clone()),
-                    None => Err(report.errors[id].clone()),
-                })
-                .collect();
-            assert_eq!(
-                out, oracle_out,
-                "knob combo per_param={per_param} commutative={commutative} \
-                 liveness={liveness} diverged at {shards} shard(s)"
-            );
-            let states: BTreeMap<String, EntityState> = rt
-                .final_states()
-                .into_iter()
-                .map(|(addr, s)| (addr.key().to_string(), s))
-                .collect();
-            assert_eq!(
-                states, oracle_states,
-                "knob combo per_param={per_param} commutative={commutative} \
-                 liveness={liveness} states diverged at {shards} shard(s)"
-            );
+    for shards in [1usize, 4] {
+        let mut rt = ShardRuntime::new(
+            program.ir.clone(),
+            ShardConfig {
+                batch_size: 16,
+                epoch_every_batches: 3,
+                ..ShardConfig::with_shards(shards)
+            },
+        )
+        .expect("compiled IR verifies");
+        for i in 0..accounts {
+            rt.load_entity("Account", &account_init_args(i, 16))
+                .unwrap();
         }
+        let ids: Vec<u64> = script.iter().map(|c| rt.submit(c.clone()).0).collect();
+        let report = rt.run().unwrap();
+        let out: Vec<OracleOutcome> = ids
+            .iter()
+            .map(|id| match report.responses.get(id) {
+                Some(v) => Ok(v.clone()),
+                None => Err(report.errors[id].clone()),
+            })
+            .collect();
+        assert_eq!(out, oracle_out, "diverged at {shards} shard(s)");
+        let states: BTreeMap<String, EntityState> = rt
+            .final_states()
+            .into_iter()
+            .map(|(addr, s)| (addr.key().to_string(), s))
+            .collect();
+        assert_eq!(
+            states, oracle_states,
+            "states diverged at {shards} shard(s)"
+        );
     }
 }
 
@@ -426,9 +413,6 @@ proptest! {
         ops in prop::collection::vec(arb_op(5), 1..48),
         shards in (0usize..3).prop_map(|i| [2usize, 3, 7][i]),
         batch_size in 1usize..12,
-        per_param in (0usize..2).prop_map(|b| b == 1),
-        commutative in (0usize..2).prop_map(|b| b == 1),
-        liveness in (0usize..2).prop_map(|b| b == 1),
     ) {
         let program = account_program();
         let accounts = 5usize;
@@ -442,9 +426,6 @@ proptest! {
             ShardConfig {
                 batch_size,
                 epoch_every_batches: 2,
-                per_param_footprints: per_param,
-                commutative_commits: commutative,
-                liveness_prune: liveness,
                 ..ShardConfig::with_shards(shards)
             },
         ).expect("compiled IR verifies");

@@ -14,9 +14,8 @@
 //! * Post-barrier **compaction** bounds every recovery chain at one full
 //!   plus at most one merged delta, even when `full_snapshot_every` would
 //!   otherwise let the chain grow for the whole run.
-//! * Both ablation knobs (`precise_footprints = false`,
-//!   `pipelined_batches = false`) stay oracle-equivalent — the optimizations
-//!   change schedules, never results.
+//! * Mixed read/update/transfer traffic stays oracle-equivalent — pipelining
+//!   and precise footprints change schedules, never results.
 
 use shard_runtime::{FailurePlan, ShardConfig, ShardError};
 use stateful_entities::{Key, MethodCall, Value};
@@ -96,20 +95,6 @@ fn hot_key_read_storm_commits_in_one_batch() {
     assert_eq!(out, oracle, "read storm diverged from the oracle");
     assert_eq!(report.deferrals, 0, "read-read pairs must not defer");
     assert_eq!(report.batches, 1, "the whole storm fits one batch");
-
-    // Ablation: the old all-RMW footprints serialize the same storm across
-    // many batches — same answers, radically different schedule.
-    let (rmw_report, rmw_out) = run_and_compare(
-        ShardConfig {
-            batch_size: 64,
-            precise_footprints: false,
-            ..ShardConfig::with_shards(4)
-        },
-        &calls,
-    );
-    assert_eq!(rmw_out, oracle);
-    assert!(rmw_report.deferrals > 0, "all-RMW must defer the hot key");
-    assert!(rmw_report.batches > 1);
 }
 
 #[test]
@@ -169,20 +154,6 @@ fn disjoint_batches_overlap_in_the_pipeline() {
         report.pipelined_batches > 0,
         "batches must dispatch while a predecessor is still in flight"
     );
-
-    // Ablation: the full barrier never overlaps, with identical outcomes.
-    let (barrier_report, barrier_out) = run_and_compare(
-        ShardConfig {
-            batch_size: 6,
-            epoch_every_batches: 6,
-            pipelined_batches: false,
-            ..ShardConfig::with_shards(4)
-        },
-        &calls,
-    );
-    assert_eq!(barrier_out, oracle);
-    assert_eq!(barrier_report.pipelined_batches, 0);
-    assert_eq!(barrier_report.responses, report.responses);
 }
 
 #[test]
@@ -248,59 +219,54 @@ fn compaction_bounds_recovery_chains_on_long_runs() {
             )
         })
         .collect();
-    // Both snapshot modes: amortized folding happens at *seal* time, so the
-    // invariant must hold whether bytes seal inside the barrier (sync) or
-    // trail in from the background encoder (async).
-    for async_snapshots in [true, false] {
-        // A rebase cadence far beyond the run length: without compaction the
-        // delta chain would grow by one per epoch for the whole run.
-        let config = ShardConfig {
-            batch_size: 4,
-            epoch_every_batches: 1,
-            full_snapshot_every: 10_000,
-            async_snapshots,
-            ..ShardConfig::with_shards(3)
-        };
+    // Amortized folding happens at *seal* time, while bytes trail in from
+    // the background encoder; the chain bound must hold regardless.
+    // A rebase cadence far beyond the run length: without compaction the
+    // delta chain would grow by one per epoch for the whole run.
+    let config = ShardConfig {
+        batch_size: 4,
+        epoch_every_batches: 1,
+        full_snapshot_every: 10_000,
+        ..ShardConfig::with_shards(3)
+    };
 
-        let mut rt = runtime(config.clone());
-        for c in &calls {
-            rt.submit(c.clone());
-        }
-        let report = rt.run().unwrap();
-        assert!(
-            report.epochs_completed >= 10,
-            "the cadence must actually produce a long epoch chain"
-        );
-        assert!(
-            report.delta_snapshots_taken > 0,
-            "everything after the baseline is a delta at this rebase cadence"
-        );
-        assert!(
-            report.snapshots_compacted > 0,
-            "compaction must have merged delta runs (async={async_snapshots})"
-        );
-        assert_eq!(
-            report.max_delta_chain, 1,
-            "every sealed epoch must leave chains at full + <= 1 delta \
-             (async={async_snapshots})"
-        );
-
-        // Recovery through a compacted chain: a late crash rolls back onto a
-        // merged delta and must still replay to the exact healthy outcome.
-        let mut healthy = runtime(config.clone());
-        let mut failed = runtime(config);
-        for c in &calls {
-            healthy.submit(c.clone());
-            failed.submit(c.clone());
-        }
-        let healthy_report = healthy.run().unwrap();
-        let failed_report = failed
-            .run_with_failure(FailurePlan::after_delivery(30, 1))
-            .unwrap();
-        assert_eq!(failed_report.recoveries, 1);
-        assert_eq!(failed_report.responses, healthy_report.responses);
-        assert_eq!(failed.final_states(), healthy.final_states());
+    let mut rt = runtime(config.clone());
+    for c in &calls {
+        rt.submit(c.clone());
     }
+    let report = rt.run().unwrap();
+    assert!(
+        report.epochs_completed >= 10,
+        "the cadence must actually produce a long epoch chain"
+    );
+    assert!(
+        report.delta_snapshots_taken > 0,
+        "everything after the baseline is a delta at this rebase cadence"
+    );
+    assert!(
+        report.snapshots_compacted > 0,
+        "compaction must have merged delta runs"
+    );
+    assert_eq!(
+        report.max_delta_chain, 1,
+        "every sealed epoch must leave chains at full + <= 1 delta"
+    );
+
+    // Recovery through a compacted chain: a late crash rolls back onto a
+    // merged delta and must still replay to the exact healthy outcome.
+    let mut healthy = runtime(config.clone());
+    let mut failed = runtime(config);
+    for c in &calls {
+        healthy.submit(c.clone());
+        failed.submit(c.clone());
+    }
+    let healthy_report = healthy.run().unwrap();
+    let failed_report = failed
+        .run_with_failure(FailurePlan::after_delivery(30, 1))
+        .unwrap();
+    assert_eq!(failed_report.recoveries, 1);
+    assert_eq!(failed_report.responses, healthy_report.responses);
+    assert_eq!(failed.final_states(), healthy.final_states());
 }
 
 #[test]
@@ -333,28 +299,15 @@ fn ablation_knobs_stay_oracle_equivalent_on_mixed_traffic() {
         .collect();
     let oracle = oracle_outcomes(&calls);
 
-    for precise in [true, false] {
-        for pipelined in [true, false] {
-            for async_snapshots in [true, false] {
-                let (_, out) = run_and_compare(
-                    ShardConfig {
-                        batch_size: 7,
-                        epoch_every_batches: 4,
-                        precise_footprints: precise,
-                        pipelined_batches: pipelined,
-                        async_snapshots,
-                        ..ShardConfig::with_shards(4)
-                    },
-                    &calls,
-                );
-                assert_eq!(
-                    out, oracle,
-                    "precise={precise} pipelined={pipelined} async={async_snapshots} \
-                     diverged from the oracle"
-                );
-            }
-        }
-    }
+    let (_, out) = run_and_compare(
+        ShardConfig {
+            batch_size: 7,
+            epoch_every_batches: 4,
+            ..ShardConfig::with_shards(4)
+        },
+        &calls,
+    );
+    assert_eq!(out, oracle, "mixed traffic diverged from the oracle");
 }
 
 #[test]

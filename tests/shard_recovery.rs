@@ -23,18 +23,13 @@ use workloads::{account_init_args, account_program, KeyDistribution, WorkloadMix
 const SHARDS: usize = 3;
 const ACCOUNTS: usize = 18;
 
-fn config_with(async_snapshots: bool) -> ShardConfig {
+fn config() -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
         full_snapshot_every: 3,
-        async_snapshots,
         ..ShardConfig::with_shards(SHARDS)
     }
-}
-
-fn config() -> ShardConfig {
-    config_with(true)
 }
 
 fn workload() -> Vec<stateful_entities::MethodCall> {
@@ -53,10 +48,9 @@ fn workload() -> Vec<stateful_entities::MethodCall> {
         .collect()
 }
 
-fn build_runtime_with(async_snapshots: bool) -> ShardRuntime {
+fn build_runtime() -> ShardRuntime {
     let program = account_program();
-    let mut rt = ShardRuntime::new(program.ir.clone(), config_with(async_snapshots))
-        .expect("compiled IR verifies");
+    let mut rt = ShardRuntime::new(program.ir.clone(), config()).expect("compiled IR verifies");
     for i in 0..ACCOUNTS {
         rt.load_entity("Account", &account_init_args(i, 16))
             .unwrap();
@@ -65,10 +59,6 @@ fn build_runtime_with(async_snapshots: bool) -> ShardRuntime {
         rt.submit(call);
     }
     rt
-}
-
-fn build_runtime() -> ShardRuntime {
-    build_runtime_with(true)
 }
 
 fn total_balance(states: &BTreeMap<EntityAddr, EntityState>) -> i64 {
@@ -80,73 +70,69 @@ fn total_balance(states: &BTreeMap<EntityAddr, EntityState>) -> i64 {
 
 #[test]
 fn seeded_injection_points_are_exactly_once() {
-    // Both snapshot modes: async (capture at the barrier, bytes encoded in
-    // the background, epochs sealing late) and the sync encode-in-barrier
-    // ablation. A crash may now land while snapshot bytes are in flight; the
-    // sealed-epoch gate must make that indistinguishable from the old
-    // synchronous world.
-    for async_snapshots in [true, false] {
-        let mut healthy = build_runtime_with(async_snapshots);
-        let healthy_report = healthy.run().unwrap();
-        let healthy_states = healthy.final_states();
-        let total_calls = healthy_report.answered();
-        assert_eq!(total_calls, 300, "sanity: the workload submits 300 calls");
+    // Snapshots are captured at the barrier and encoded in the background,
+    // so a crash may land while an epoch's bytes are still in flight; the
+    // sealed-epoch gate must make that invisible to the outcome.
+    let mut healthy = build_runtime();
+    let healthy_report = healthy.run().unwrap();
+    let healthy_states = healthy.final_states();
+    let total_calls = healthy_report.answered();
+    assert_eq!(total_calls, 300, "sanity: the workload submits 300 calls");
 
-        let mut suppressed_total = 0u64;
-        // 12 seeded injection points: crash batches spread over the run,
-        // victims rotating over the shards, both crash flavors.
-        for seed in 0u64..12 {
-            let after_batch = 1 + (seed * 7919) % 28;
-            let kill_shard = (seed as usize) % SHARDS;
-            let mode = if seed % 2 == 0 {
-                FailureMode::AfterDelivery
-            } else {
-                FailureMode::InFlight
-            };
-            let plan = FailurePlan {
-                after_batch,
-                kill_shard,
-                mode,
-            };
+    let mut suppressed_total = 0u64;
+    // 12 seeded injection points: crash batches spread over the run,
+    // victims rotating over the shards, both crash flavors.
+    for seed in 0u64..12 {
+        let after_batch = 1 + (seed * 7919) % 28;
+        let kill_shard = (seed as usize) % SHARDS;
+        let mode = if seed % 2 == 0 {
+            FailureMode::AfterDelivery
+        } else {
+            FailureMode::InFlight
+        };
+        let plan = FailurePlan {
+            after_batch,
+            kill_shard,
+            mode,
+        };
 
-            let mut failed = build_runtime_with(async_snapshots);
-            let report = failed.run_with_failure(plan).unwrap();
-            assert_eq!(report.recoveries, 1, "seed {seed}: the plan must fire");
+        let mut failed = build_runtime();
+        let report = failed.run_with_failure(plan).unwrap();
+        assert_eq!(report.recoveries, 1, "seed {seed}: the plan must fire");
 
-            // Exactly-once responses: same ids, same values, answered once.
-            assert_eq!(
-                report.responses, healthy_report.responses,
-                "async={async_snapshots} seed {seed} ({plan:?}): responses diverged"
-            );
-            assert_eq!(
-                report.errors, healthy_report.errors,
-                "async={async_snapshots} seed {seed} ({plan:?}): errors diverged"
-            );
-            assert_eq!(report.answered(), total_calls);
-
-            // Exactly-once effects: state equals the failure-free execution.
-            let states = failed.final_states();
-            assert_eq!(
-                states, healthy_states,
-                "async={async_snapshots} seed {seed} ({plan:?}): final states diverged"
-            );
-
-            // The after-delivery flavor guarantees the crashed batch's
-            // responses were already at the egress, so the replay must have
-            // produced duplicates for the egress to suppress.
-            if mode == FailureMode::AfterDelivery {
-                assert!(
-                    report.duplicates_suppressed > 0,
-                    "seed {seed}: replay after delivery must suppress duplicates"
-                );
-            }
-            suppressed_total += report.duplicates_suppressed;
-        }
-        assert!(
-            suppressed_total > 0,
-            "across all injection points, replays must have been deduplicated"
+        // Exactly-once responses: same ids, same values, answered once.
+        assert_eq!(
+            report.responses, healthy_report.responses,
+            "seed {seed} ({plan:?}): responses diverged"
         );
+        assert_eq!(
+            report.errors, healthy_report.errors,
+            "seed {seed} ({plan:?}): errors diverged"
+        );
+        assert_eq!(report.answered(), total_calls);
+
+        // Exactly-once effects: state equals the failure-free execution.
+        let states = failed.final_states();
+        assert_eq!(
+            states, healthy_states,
+            "seed {seed} ({plan:?}): final states diverged"
+        );
+
+        // The after-delivery flavor guarantees the crashed batch's
+        // responses were already at the egress, so the replay must have
+        // produced duplicates for the egress to suppress.
+        if mode == FailureMode::AfterDelivery {
+            assert!(
+                report.duplicates_suppressed > 0,
+                "seed {seed}: replay after delivery must suppress duplicates"
+            );
+        }
+        suppressed_total += report.duplicates_suppressed;
     }
+    assert!(
+        suppressed_total > 0,
+        "across all injection points, replays must have been deduplicated"
+    );
 }
 
 #[test]
