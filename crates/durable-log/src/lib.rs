@@ -32,10 +32,13 @@
 //!
 //! ## Fsync & commit-point invariants
 //!
-//! * **Group commit** — appends are buffered and fsynced every
-//!   `group_commit_window` appends ([`LogConfig`]). A record may only be
-//!   *dispatched* to workers once a sync has covered it; consequently every
-//!   record below a sealed offset is durable by construction.
+//! * **Group commit** — appends are buffered; a sync flushes and fsyncs
+//!   them. [`DurableLog::append_group`] appends a whole group and leaves the
+//!   one [`DurableLog::sync_all`] to its caller; single [`DurableLog::append`]s
+//!   also sync every `group_commit_window` appends ([`LogConfig`]).
+//!   [`DurableLog::syncs`] counts the fsyncs actually issued. A record may
+//!   only be *dispatched* to workers once a sync has covered it; consequently
+//!   every record below a sealed offset is durable by construction.
 //! * **Torn tail** — on recovery ([`LogPartition::open`]), a decode failure
 //!   in the *final* segment at an offset at or past the sealed offset is a
 //!   torn write from the crash and is silently truncated; any failure below

@@ -2,11 +2,12 @@
 //!
 //! One [`LogPartition`] per ingress partition, each its own directory of
 //! segment files (see the crate docs for the byte-level format). Appends go
-//! through a buffered writer with **group-commit fsync**: every
-//! `group_commit_window` appends the buffer is flushed and `fdatasync`ed, and
-//! only then does the durable offset advance. [`DurableLog`] bundles the
-//! partitions of one topic and mirrors the offset-addressed read/truncate
-//! surface of the in-memory `mq::Broker`.
+//! through a buffered writer; only a [`sync`](LogPartition::sync) (flush +
+//! `fdatasync`) advances the durable offset. [`LogPartition::append`] also
+//! syncs every `group_commit_window` appends; a group append
+//! ([`DurableLog::append_group`]) never does, leaving the one sync to the
+//! caller. [`DurableLog`] bundles the partitions of one topic and mirrors the
+//! offset-addressed read/truncate surface of the in-memory `mq::Broker`.
 
 use crate::crc::crc32;
 use crate::fault::{CrashPoint, FaultInjector};
@@ -41,8 +42,10 @@ pub struct LogRecord {
 /// Tuning knobs for the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogConfig {
-    /// Fsync after this many appends (1 = sync every append). The tail past
-    /// the last sync is *not* durable and may be torn by a crash.
+    /// [`LogPartition::append`] fsyncs after this many appends (1 = sync
+    /// every append). Group appends ([`DurableLog::append_group`]) ignore it:
+    /// their caller issues one [`DurableLog::sync_all`] per group. The tail
+    /// past the last sync is *not* durable and may be torn by a crash.
     pub group_commit_window: usize,
     /// Roll to a new segment once the active one exceeds this size. A single
     /// record larger than the limit gets a segment of its own.
@@ -155,6 +158,8 @@ pub struct LogPartition {
     next_offset: Offset,
     durable_offset: Offset,
     pending_appends: usize,
+    /// `fdatasync`s this partition actually issued (see [`DurableLog::syncs`]).
+    syncs: u64,
 }
 
 impl LogPartition {
@@ -305,6 +310,7 @@ impl LogPartition {
             next_offset,
             durable_offset: next_offset,
             pending_appends: 0,
+            syncs: 0,
         })
     }
 
@@ -358,6 +364,17 @@ impl LogPartition {
     /// returned offset is **not durable** until the next [`sync`](Self::sync)
     /// (implicit via the window, or explicit).
     pub fn append(&mut self, key: u64, payload: &[u8]) -> Result<Offset, DurableError> {
+        let offset = self.append_unsynced(key, payload)?;
+        if self.pending_appends >= self.cfg.group_commit_window.max(1) {
+            self.sync()?;
+        }
+        Ok(offset)
+    }
+
+    /// [`append`](Self::append) without the window check: the record stays
+    /// buffered until the caller's next [`sync`](Self::sync). A segment roll
+    /// still syncs the segment it closes.
+    fn append_unsynced(&mut self, key: u64, payload: &[u8]) -> Result<Offset, DurableError> {
         let record = encode_record(key, payload);
 
         // Roll once the active segment is full — unless it is empty, in which
@@ -397,9 +414,6 @@ impl LogPartition {
         let offset = self.next_offset;
         self.next_offset += 1;
         self.pending_appends += 1;
-        if self.pending_appends >= self.cfg.group_commit_window.max(1) {
-            self.sync()?;
-        }
         Ok(offset)
     }
 
@@ -426,6 +440,7 @@ impl LogPartition {
                 .get_ref()
                 .sync_data()
                 .map_err(|e| io_err(&path, &e))?;
+            self.syncs += 1;
         }
         self.durable_offset = self.next_offset;
         self.pending_appends = 0;
@@ -555,6 +570,21 @@ impl DurableLog {
         Ok((partition, offset))
     }
 
+    /// Append a group of `(key, payload)` records, each routed as by
+    /// [`append`](Self::append), without any window sync: none of them is
+    /// durable until the caller's next [`sync_all`](Self::sync_all). This is
+    /// the group-commit path — one sync per group, however large.
+    pub fn append_group<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = (u64, &'a [u8])>,
+    ) -> Result<(), DurableError> {
+        let partitions = self.parts.len() as u64;
+        for (key, payload) in records {
+            self.parts[(key % partitions) as usize].append_unsynced(key, payload)?;
+        }
+        Ok(())
+    }
+
     /// Fsync every partition; afterwards every appended record is durable.
     pub fn sync_all(&mut self) -> Result<(), DurableError> {
         for part in &mut self.parts {
@@ -595,6 +625,14 @@ impl DurableLog {
     /// Total number of segment files across partitions.
     pub fn segment_count(&self) -> usize {
         self.parts.iter().map(|p| p.segment_count()).sum()
+    }
+
+    /// `fdatasync`s issued since this log was opened, across partitions: one
+    /// per partition a sync found unsynced appends in (window syncs, explicit
+    /// syncs, and segment rolls alike). A sync with nothing pending issues
+    /// none, and an injected mid-fsync crash is not counted.
+    pub fn syncs(&self) -> u64 {
+        self.parts.iter().map(|p| p.syncs).sum()
     }
 }
 

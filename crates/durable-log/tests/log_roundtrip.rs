@@ -6,7 +6,8 @@
 
 use durable_log::testutil::TempDir;
 use durable_log::{
-    CrashPoint, DurableError, FaultInjector, LogConfig, LogPartition, SEGMENT_HEADER_LEN,
+    CrashPoint, DurableError, DurableLog, FaultInjector, LogConfig, LogPartition,
+    SEGMENT_HEADER_LEN,
 };
 use proptest::prelude::*;
 use std::fs;
@@ -109,6 +110,38 @@ fn group_commit_window_gates_the_durable_offset() {
     assert_eq!(log.durable_offset(), 4);
     log.sync().unwrap();
     assert_eq!(log.durable_offset(), 5, "explicit sync catches up");
+}
+
+/// A group append ignores the window: however many records it carries, the
+/// log issues no fsync until the caller's `sync_all`, which then costs one
+/// fsync per partition the group touched — and `syncs` counts exactly those.
+#[test]
+fn group_append_defers_every_fsync_to_one_sync_all() {
+    let tmp = TempDir::new("dlog-group");
+    let cfg = LogConfig {
+        group_commit_window: 2,
+        segment_max_bytes: 1 << 20,
+    };
+    let mut log = DurableLog::create(tmp.path(), 3, cfg, &FaultInjector::new()).unwrap();
+    let payloads: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 5]).collect();
+    // Keys 0 and 1 only: partition 2 stays empty.
+    let group = payloads
+        .iter()
+        .enumerate()
+        .map(|(i, p)| ((i % 2) as u64, p.as_slice()));
+    log.append_group(group).unwrap();
+    assert_eq!(log.syncs(), 0, "a group append never syncs on its own");
+    log.sync_all().unwrap();
+    assert_eq!(log.syncs(), 2, "one fsync per partition with appends");
+    log.sync_all().unwrap();
+    assert_eq!(log.syncs(), 2, "nothing pending, nothing issued");
+    // The windowed path still syncs every `window` appends per partition.
+    for _ in 0..4 {
+        log.append(2, b"w").unwrap();
+    }
+    assert_eq!(log.syncs(), 4);
+    assert_eq!(log.next_offset(0), 10);
+    assert_eq!(log.read_from(1, 0, usize::MAX).unwrap().len(), 10);
 }
 
 #[test]

@@ -36,7 +36,8 @@
 //!
 //! [`DefectPlan`] exists purely to prove the detector the way PR 9 proved
 //! the verifier: seeded defect injection (a dropped barrier-ack stamp, a
-//! mis-masked conflict pair) must trip its specific diagnostic.
+//! mis-masked conflict pair, a dropped durable-writer notice stamp) must
+//! trip its specific diagnostic.
 
 #![forbid(unsafe_code)]
 
@@ -56,7 +57,8 @@ const DIAGNOSTIC_CAP: usize = 64;
 /// Thread roles at or above this are assigned dynamically
 /// ([`Monitor::ensure_current_role`]) to threads the runtime does not
 /// name — client sessions, test drivers. Roles below it are reserved for
-/// the engine: coordinator `0`, shard `s` at `1 + s`.
+/// the engine: coordinator `0`, shard `s` at `1 + s`, the durable writer at
+/// `DYNAMIC_ROLE_BASE - 1`.
 pub const DYNAMIC_ROLE_BASE: u32 = 1 << 16;
 
 // ---------------------------------------------------------------------------
@@ -181,6 +183,12 @@ pub enum Resource {
     /// The coordinator's snapshot store (a single-writer tripwire: every
     /// mutation must come from the same happens-before timeline).
     SnapshotStore,
+    /// One admission group of the durable ingress log, keyed by its
+    /// exclusive call-id bound: written by the coordinator when it hands the
+    /// encoded group to the durable writer, written again by the writer once
+    /// an fsync covers it, and — for the last group an fsync covered — read
+    /// by the coordinator when the durable notice lets it dispatch.
+    LogGroup(u64),
 }
 
 impl fmt::Display for Resource {
@@ -191,6 +199,7 @@ impl fmt::Display for Resource {
                 write!(f, "partition {partition} cut at epoch {epoch}")
             }
             Resource::SnapshotStore => write!(f, "snapshot store"),
+            Resource::LogGroup(end) => write!(f, "log group ending at call {end}"),
         }
     }
 }
@@ -948,6 +957,7 @@ fn resource_shard(resource: &Resource) -> usize {
         Resource::Partition(p) => p % RESOURCE_SHARDS,
         Resource::PartitionCut { partition, .. } => (partition + 3) % RESOURCE_SHARDS,
         Resource::SnapshotStore => 7,
+        Resource::LogGroup(end) => (*end as usize) % RESOURCE_SHARDS,
     }
 }
 
@@ -1079,12 +1089,19 @@ pub struct DefectPlan {
     /// pair. The certifier must flag an intra-batch conflict naming the
     /// batch and the `(class, key)` pair.
     pub mis_mask_batch: Option<u64>,
+    /// Drop the happens-before stamp from every durable-writer notice: the
+    /// coordinator then admits records for dispatch without having joined
+    /// the writer's post-fsync clock, and the monitor must flag an
+    /// unordered [`Resource::LogGroup`] read.
+    pub drop_durable_notice_stamp: bool,
 }
 
 impl DefectPlan {
     /// Whether any defect is armed.
     pub fn armed(&self) -> bool {
-        self.drop_barrier_ack_stamp || self.mis_mask_batch.is_some()
+        self.drop_barrier_ack_stamp
+            || self.mis_mask_batch.is_some()
+            || self.drop_durable_notice_stamp
     }
 }
 

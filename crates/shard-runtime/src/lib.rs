@@ -9,7 +9,9 @@
 //! ## Threading model
 //!
 //! A deployment is `N` **shard threads** plus the calling thread acting as
-//! **coordinator** (ingress, transaction sequencing, egress, snapshot store):
+//! **coordinator** (ingress, transaction sequencing, egress, snapshot store),
+//! and on a durable runtime one **durable writer** thread that does the
+//! run's disk I/O (see *Durable tier* below):
 //!
 //! * Shard `s` exclusively owns one [`PartitionState`] — every entity whose
 //!   address routes to it under the [`ShardMap`] (a modulo on the cached
@@ -174,15 +176,21 @@
 //! * **Ingress** — [`ShardRuntime::try_submit`] appends the call to a
 //!   segmented, per-record-checksummed on-disk log *before* it enters the
 //!   in-memory broker; the two number offsets identically (`key %
-//!   partitions` routing on both sides). [`ShardRuntime::run`] fsyncs the
-//!   log before dispatching anything, so every record a worker ever sees is
-//!   durable.
+//!   partitions` routing on both sides). Every run fsyncs the log before
+//!   dispatching anything. While serving, the coordinator hands each
+//!   admission pump's records to the **durable writer** as one group and
+//!   admits them to the broker only when the writer's group commit (one
+//!   fsync per partition, however many groups queued during the previous
+//!   one) covers them — so every record a worker ever sees is durable, and
+//!   the coordinator never waits on the disk after the baseline.
 //! * **Snapshots** — epoch offsets commit to disk **at seal, never at the
-//!   cut**: when an epoch seals in memory, its recovery chain (full anchor +
-//!   raw deltas, plus the amortized merged delta) is uploaded as checksummed
-//!   files and a manifest naming them — with the sealed epoch and the
-//!   per-partition ingress offsets — is committed atomically
-//!   (write-temp → fsync → rename → dir fsync). Snapshot files are
+//!   cut**: when an epoch seals in memory, the coordinator queues a seal job
+//!   on the durable writer, which uploads its recovery chain (full anchor +
+//!   raw deltas, plus the amortized merged delta) as checksummed files and
+//!   commits a manifest naming them — with the sealed epoch and the
+//!   per-partition ingress offsets — atomically
+//!   (write-temp → fsync → rename → dir fsync). Jobs reach disk in seal
+//!   order, and a run returns only after the writer finished its last one. Snapshot files are
 //!   namespaced by a **run generation** so a new run's baseline can never
 //!   overwrite files the previous manifest still references. After the
 //!   manifest lands, unreferenced files are GC'd and the ingress log is
@@ -198,7 +206,8 @@
 //!   responses, deduplicating by call id, to observe exactly-once delivery
 //!   across the process death.
 //! * **Failure semantics** — a durable-tier error (I/O, checksum, or an
-//!   armed [`durable_log::FaultInjector`] crash point) models the process
+//!   armed [`durable_log::FaultInjector`] crash point), on the coordinator
+//!   or on the durable writer, models the process
 //!   itself dying: the run aborts with [`ShardError::Durable`] instead of
 //!   attempting in-run rollback, and recovery is the cold restart above.
 //!   Every corruption is a typed error naming the segment/offset/epoch —
@@ -225,7 +234,8 @@
 //! role and joins the coordinator's reset stamp, ordering the new thread
 //! after everything its predecessor did. Service-tier client threads
 //! ([`service::ClientSession`]) self-register dynamic roles at
-//! [`racecheck::DYNAMIC_ROLE_BASE`] and up on their first stamp.
+//! [`racecheck::DYNAMIC_ROLE_BASE`] and up on their first stamp. The
+//! durable writer is role `DYNAMIC_ROLE_BASE - 1` (`WRITER_ROLE`).
 //!
 //! **Channels and their happens-before edges** (every edge is a stamp
 //! taken by the sender and joined by the receiver; layer 1, the race
@@ -260,6 +270,14 @@
 //!   while holding the ingress-queue lock (the one compound lock edge in
 //!   the service tier, see `service`'s lock-order catalog); the
 //!   coordinator stamps each response and the session joins on delivery.
+//! * *durable hand-off* (coordinator → writer) — every log group and seal
+//!   job carries the coordinator's stamp; the writer joins it before it
+//!   touches the files for that job.
+//! * *durable notice* (writer → coordinator) — each group-commit notice
+//!   carries the writer's stamp, taken after the fsync; the coordinator
+//!   joins it before it admits the covered records for dispatch. Dropping
+//!   exactly this stamp is the seeded defect
+//!   `DefectPlan::drop_durable_notice_stamp` and must trip the detector.
 //!
 //! **Monitored resources** (layer 1 checks every access FastTrack-style):
 //! [`racecheck::Resource::Partition`] — every worker read/write of its
@@ -267,7 +285,11 @@
 //! PartitionCut`] — written by the worker at the capture walk (keyed per
 //! epoch), read by the coordinator when that epoch's bytes arrive;
 //! [`racecheck::Resource::SnapshotStore`] — every coordinator-side store
-//! mutation (a single-writer tripwire). The detector uses an
+//! mutation (a single-writer tripwire); [`racecheck::Resource::LogGroup`] —
+//! one per admission group, written by the coordinator at the hand-off and
+//! by the writer after the fsync covering it; the last group a notice
+//! covers is read by the coordinator when it admits the records (so both
+//! durable edges are load-bearing). The detector uses an
 //! *access-elision window*: between two clock edges a role's
 //! happens-before relation to every other role is constant, so repeated
 //! same-role accesses to the same resource are race-equivalent to the
@@ -299,26 +321,30 @@
 //! a lock-protected structure cannot data-race, only deadlock, which a
 //! happens-before detector is the wrong tool for. Footprint computation
 //! and the interpreter (pure functions of their inputs). The durable tier's
-//! file I/O (single-threaded on the coordinator; its ordering claims are
-//! fsync barriers, exercised by crash-point injection in `durable-log`).
-//! Response payload `Value`s (immutable once sealed, shared by `Arc`).
+//! file I/O itself: owned by one thread at a time (the coordinator for the
+//! baseline, the writer for the rest of the run, borrowed for the run's
+//! scope), its ordering claims are fsync barriers, exercised by crash-point
+//! injection in `durable-log` and `tests/service_recovery.rs`. Response
+//! payload `Value`s (immutable once sealed, shared by `Arc`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod durable_tier;
 pub mod service;
 
 use durable_log::{
-    read_blob, write_blob, DurableError, DurableLog, FaultInjector, LogConfig, Manifest, SnapKind,
+    read_blob, write_blob, DurableError, DurableLog, FaultInjector, LogConfig, SnapKind,
     SnapshotDir,
 };
+use durable_tier::{DurableTier, DurableWriter, EncodedGroup, SealLedger, EPOCH_MASK};
 use mq::Broker;
 use state_backend::{PartitionState, Snapshot, SnapshotCapture, SnapshotKind, SnapshotStore};
 use stateful_entities::{
     binary, interp, CallId, CallStack, DataflowIR, EntityAddr, EntityState, Event, EventKind, Key,
     MethodCall, MethodId, RuntimeError, RuntimeResult, ShardMap, StepOutcome, Value, VerifyError,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -440,8 +466,11 @@ impl Default for ShardConfig {
 pub struct DurableConfig {
     /// Root directory of the durable tier.
     pub dir: PathBuf,
-    /// Fsync the ingress log every this many appends (group commit; `1`
-    /// syncs every append).
+    /// Fsync the ingress log every this many [`ShardRuntime::try_submit`]
+    /// appends (`1` syncs every append). This bounds only the pre-run tail:
+    /// the run's baseline syncs whatever is left, and calls admitted while
+    /// serving are group-committed by the durable writer, one fsync per
+    /// admission group whatever its size.
     pub group_commit_window: usize,
     /// Roll ingress-log segments at this size.
     pub segment_max_bytes: usize,
@@ -828,6 +857,10 @@ pub struct ShardReport {
     /// time, counting fan-out (one change × three matching subscriptions
     /// counts three).
     pub cdc_updates: u64,
+    /// Ingress-log `fdatasync`s issued during the run, baseline included:
+    /// one per log partition per group commit (see
+    /// [`durable_log::DurableLog::syncs`]). `0` without a durable tier.
+    pub log_syncs: u64,
 }
 
 impl ShardReport {
@@ -847,53 +880,6 @@ struct IngressRequest {
 // ---------------------------------------------------------------------------
 // Durable tier (on-disk ingress log + snapshot persistence)
 // ---------------------------------------------------------------------------
-
-/// Snapshot files on disk are namespaced by run generation: the high bits of
-/// the file's epoch field hold the generation, the low [`GENERATION_SHIFT`]
-/// bits the plain epoch. Every run re-baselines at epoch 0, so without the
-/// namespace a new run's uploads would overwrite files the *committed*
-/// manifest still references — a crash mid-baseline would then corrupt the
-/// only recovery point. With it, the previous generation's files stay intact
-/// until the new manifest commits, after which GC reaps them.
-const GENERATION_SHIFT: u32 = 40;
-/// Mask extracting the plain epoch from a generation-scoped file epoch.
-const EPOCH_MASK: u64 = (1 << GENERATION_SHIFT) - 1;
-
-/// The runtime's handle on the durable tier: the segmented ingress log, the
-/// snapshot directory (manifest = commit point), and the spill directory.
-struct DurableTier {
-    log: DurableLog,
-    snapshots: SnapshotDir,
-    spill_dir: PathBuf,
-    /// Current run generation (manifests record it as `incarnation`).
-    /// Incremented at every `run()` start, *before* the baseline uploads.
-    generation: u64,
-    /// `(plain epoch, partition, kind)` triples known uploaded under the
-    /// current generation — skips re-uploading an unchanged full anchor at
-    /// every seal. Rebuilt from the manifest after each commit.
-    uploaded: BTreeSet<(u64, u32, SnapKind)>,
-}
-
-impl DurableTier {
-    /// The generation-scoped epoch a snapshot file is stored under.
-    fn file_epoch(&self, epoch: u64) -> u64 {
-        debug_assert!(epoch <= EPOCH_MASK, "epoch overflows the generation split");
-        (self.generation << GENERATION_SHIFT) | epoch
-    }
-
-    /// Remove leftover spill blobs (from a previous crashed run). Best
-    /// effort: a stale blob is garbage, not state.
-    fn clear_spills(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.spill_dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            if entry.file_name().to_string_lossy().ends_with(".spill") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-}
 
 /// Binary codec for one durable ingress record:
 /// `call_id ‖ class name ‖ key ‖ method id ‖ argc ‖ args`. The class travels
@@ -1015,6 +1001,16 @@ enum ToCoordinator {
         kind: SnapshotKind,
         bytes: Vec<u8>,
     },
+    /// The durable writer's group-commit notice: every call id below
+    /// `through` is fsync-durable, so its record may be dispatched. The
+    /// stamp is the writer → coordinator edge of the durable hand-off.
+    Durable {
+        through: u64,
+        stamp: Option<racecheck::Stamp>,
+    },
+    /// The durable writer failed and exited; the run ends with
+    /// [`ShardError::Durable`].
+    DurableFailed { error: DurableError },
     /// The worker received an event it cannot route (see
     /// [`ShardError::Misrouted`]); it exits its loop after sending this.
     Misrouted {
@@ -1775,13 +1771,7 @@ impl ShardRuntime {
             ingress,
             partitions,
             next_call_id,
-            durable: Some(DurableTier {
-                log,
-                snapshots,
-                spill_dir,
-                generation,
-                uploaded: BTreeSet::new(),
-            }),
+            durable: Some(DurableTier::new(log, snapshots, spill_dir, generation)),
             partial: BTreeMap::new(),
             config,
         })
@@ -1863,7 +1853,7 @@ impl ShardRuntime {
         let key = call.target.key_hash();
         if let Some(tier) = self.durable.as_mut() {
             let payload = encode_ingress_record(call_id, &call);
-            tier.log.append(key, &payload)?;
+            tier.disk.log.append(key, &payload)?;
         }
         let (partition, offset) =
             self.ingress
@@ -1871,7 +1861,7 @@ impl ShardRuntime {
         if let Some(tier) = self.durable.as_ref() {
             debug_assert_eq!(
                 offset + 1,
-                tier.log.next_offset(partition),
+                tier.disk.log.next_offset(partition),
                 "broker and durable log must number records identically"
             );
         }
@@ -2009,32 +1999,23 @@ impl ShardRuntime {
 
     /// Epoch-0 baseline: a full snapshot of the bulk-loaded state per
     /// partition, so a failure before the first barrier recovers the loaded
-    /// entities. On a durable runtime this is also the run's **durable
-    /// re-baseline**: the generation counter is bumped (namespacing this
-    /// run's snapshot files away from anything the committed manifest still
-    /// references), every baseline full is uploaded, and a manifest sealing
-    /// epoch 0 at the current ingress offsets is committed — from this point
-    /// a cold restart lands on this run's timeline. The log prefix below the
-    /// baseline offsets is then garbage-collected (whole segments only).
+    /// entities. On a durable runtime this is also the run's durable
+    /// re-baseline ([`DurableTier::seal_baseline`]) — the last disk I/O the
+    /// coordinator thread does itself.
     fn seed_baseline(
         &mut self,
         store: &mut SnapshotStore,
         start_offsets: &[u64],
     ) -> Result<(), ShardError> {
-        let shards = self.config.shards;
+        let fulls: Vec<Vec<u8>> = self
+            .partitions
+            .iter_mut()
+            .map(PartitionState::snapshot_full)
+            .collect();
         if let Some(tier) = self.durable.as_mut() {
-            // Everything submitted so far must be durable before dispatch.
-            tier.log.sync_all()?;
-            tier.generation += 1;
-            tier.uploaded.clear();
-            tier.clear_spills();
+            tier.seal_baseline(&fulls, start_offsets)?;
         }
-        for (partition, state) in self.partitions.iter_mut().enumerate() {
-            let bytes = state.snapshot_full();
-            if let Some(tier) = self.durable.as_ref() {
-                tier.snapshots
-                    .put(tier.file_epoch(0), partition as u32, SnapKind::Full, &bytes)?;
-            }
+        for (partition, bytes) in fulls.into_iter().enumerate() {
             store.add(Snapshot {
                 epoch: 0,
                 partition,
@@ -2042,27 +2023,6 @@ impl ShardRuntime {
                 state: bytes,
                 source_offsets: offsets_map(start_offsets),
             });
-        }
-        if let Some(tier) = self.durable.as_mut() {
-            let files: Vec<(u64, u32, SnapKind)> = (0..shards)
-                .map(|p| (tier.file_epoch(0), p as u32, SnapKind::Full))
-                .collect();
-            let manifest = Manifest {
-                sealed_epoch: 0,
-                incarnation: tier.generation,
-                shards: shards as u32,
-                offsets: start_offsets.to_vec(),
-                files: files.clone(),
-            };
-            tier.snapshots.commit_manifest(&manifest)?;
-            tier.snapshots.gc(&manifest)?;
-            tier.uploaded = files
-                .iter()
-                .map(|&(fe, p, k)| (fe & EPOCH_MASK, p, k))
-                .collect();
-            for (p, &off) in start_offsets.iter().enumerate() {
-                tier.log.truncate_before(p, off)?;
-            }
         }
         Ok(())
     }
@@ -2086,6 +2046,7 @@ impl ShardRuntime {
         let start_offsets: Vec<u64> = (0..shards)
             .map(|p| self.ingress.committed(INGRESS_GROUP, INGRESS_TOPIC, p))
             .collect();
+        let syncs_before = self.durable.as_ref().map_or(0, DurableTier::log_syncs);
         if let Err(error) = self.seed_baseline(&mut snapshot_store, &start_offsets) {
             // The durable baseline never became the commit point; the
             // in-memory partitions were not handed to workers, but the run
@@ -2096,8 +2057,7 @@ impl ShardRuntime {
         // Monitored runs: the coordinator is role 0 on this thread, the
         // snapshot store is a single-writer tripwire, and the ingress broker
         // stamps per-record edges.
-        let monitor = self.config.monitor.clone();
-        if let Some(m) = &monitor {
+        if let Some(m) = &self.config.monitor {
             m.bind_current_thread(COORDINATOR_ROLE);
             snapshot_store.arm_monitor(Arc::clone(m));
             self.ingress.arm_monitor(Arc::clone(m));
@@ -2105,10 +2065,91 @@ impl ShardRuntime {
                 core.arm_monitor(Arc::clone(m));
             }
         }
+        // For the length of the run the durable tier leaves the runtime: the
+        // writer thread borrows its files, the coordinator its seal ledger.
+        let mut tier = self.durable.take();
+        let (coord_tx, coord_rx) = channel::<ToCoordinator>();
+        let (outcome, delivered) = std::thread::scope(|scope| {
+            let durable = match tier.as_mut() {
+                Some(DurableTier {
+                    disk,
+                    ledger,
+                    spill_dir,
+                }) => {
+                    let monitor = self.config.monitor.clone();
+                    match DurableWriter::spawn(scope, disk, coord_tx.clone(), monitor) {
+                        Ok(writer) => Some(DurableRun {
+                            writer,
+                            ledger,
+                            spill_dir: spill_dir.clone(),
+                        }),
+                        Err(error) => return (Err(error), BTreeMap::new()),
+                    }
+                }
+                None => None,
+            };
+            let engine = Engine {
+                snapshot_store,
+                start_offsets,
+                coord_tx,
+                coord_rx,
+                durable,
+                failure,
+                service,
+            };
+            self.run_threads(engine, &mut report)
+        });
+        if let Some(tier) = &tier {
+            report.log_syncs = tier.log_syncs() - syncs_before;
+        }
+        self.durable = tier;
+
+        match outcome {
+            Ok(collected) => {
+                for (id, result) in delivered {
+                    match result {
+                        Ok(value) => {
+                            report.responses.insert(id, value);
+                        }
+                        Err(message) => {
+                            report.errors.insert(id, message);
+                        }
+                    }
+                }
+                self.partitions = collected;
+                self.partial.clear();
+                Ok(report)
+            }
+            Err(error) => {
+                // The lost worker took its partition with it; leave the
+                // runtime in a defined (empty) state rather than a torn one.
+                // Keep what was already answered: after a durable crash the
+                // client unions this with the restarted deployment's egress.
+                self.partitions = (0..shards).map(|_| PartitionState::new()).collect();
+                self.partial = delivered;
+                Err(error)
+            }
+        }
+    }
+
+    /// Spawn the shard threads, drive the run, and shut every thread down —
+    /// the durable writer last, once it has drained its final job. Returns
+    /// the collected partitions (or the run's error) and the egress.
+    fn run_threads(&mut self, engine: Engine<'_>, report: &mut ShardReport) -> RunOutcome {
+        let shards = self.config.shards;
+        let Engine {
+            snapshot_store,
+            start_offsets,
+            coord_tx,
+            coord_rx,
+            durable,
+            failure,
+            service,
+        } = engine;
+        let monitor = self.config.monitor.clone();
         let schedule = self.config.schedule;
         let defect = self.config.defect;
         // Spawn the shard threads, moving each partition into its owner.
-        let (coord_tx, coord_rx) = channel::<ToCoordinator>();
         let mut shard_txs: Vec<Sender<ToShard>> = Vec::with_capacity(shards);
         let mut shard_rxs: Vec<Receiver<ToShard>> = Vec::with_capacity(shards);
         for _ in 0..shards {
@@ -2139,7 +2180,7 @@ impl ShardRuntime {
                 peers: shard_txs.clone(),
                 coordinator: coord_tx.clone(),
                 pending_encodes: VecDeque::new(),
-                spill_dir: self.durable.as_ref().map(|t| t.spill_dir.clone()),
+                spill_dir: durable.as_ref().map(|d| d.spill_dir.clone()),
                 max_pending_captures: self.config.max_pending_captures,
                 captures_spilled: 0,
                 local: VecDeque::new(),
@@ -2164,11 +2205,7 @@ impl ShardRuntime {
                     let result =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run()));
                     if let Err(payload) = result {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
+                        let message = panic_message(payload.as_ref());
                         let _ = death_notice.send(ToCoordinator::WorkerDied { shard, message });
                     }
                 });
@@ -2176,24 +2213,22 @@ impl ShardRuntime {
                 Ok(handle) => handles.push(handle),
                 Err(err) => {
                     // OS thread exhaustion is reachable under load — release
-                    // the shards already started, leave the runtime in the
-                    // defined empty state, and surface a typed error instead
-                    // of killing the process.
+                    // the shards already started and surface a typed error
+                    // instead of killing the process.
                     for tx in shard_txs.iter().take(shard) {
                         let _ = tx.send(ToShard::Shutdown);
                     }
                     for handle in handles {
                         let _ = handle.join();
                     }
-                    self.partitions = (0..shards).map(|_| PartitionState::new()).collect();
-                    return Err(ShardError::Spawn {
+                    let error = ShardError::Spawn {
                         shard,
                         detail: err.to_string(),
-                    });
+                    };
+                    return (Err(error), BTreeMap::new());
                 }
             }
         }
-
         let total_calls = self.next_call_id as usize;
         let mut coordinator = Coordinator {
             runtime: self,
@@ -2217,6 +2252,8 @@ impl ShardRuntime {
             failure,
             service,
             call_sessions: HashMap::new(),
+            durable,
+            awaiting: VecDeque::new(),
             pending_view: BTreeMap::new(),
             watermark: 0,
             pending_watermarks: BTreeMap::new(),
@@ -2233,45 +2270,59 @@ impl ShardRuntime {
         // Drive the run, then collect final states back. Shut the threads
         // down either way: a worker-loss error must still release the
         // surviving threads before surfacing.
-        let outcome = coordinator
-            .drive(&mut report)
-            .and_then(|()| coordinator.collect_final(&mut report));
+        let mut outcome = coordinator
+            .drive(report)
+            .and_then(|()| coordinator.collect_final(report));
         for tx in &coordinator.shard_txs {
             let _ = tx.send(ToShard::Shutdown);
         }
-        let handles = std::mem::take(&mut coordinator.handles);
-        let delivered = std::mem::take(&mut coordinator.delivered);
-        for handle in handles {
+        for handle in std::mem::take(&mut coordinator.handles) {
             let _ = handle.join();
         }
-
-        match outcome {
-            Ok(collected) => {
-                for (id, result) in delivered {
-                    match result {
-                        Ok(value) => {
-                            report.responses.insert(id, value);
-                        }
-                        Err(message) => {
-                            report.errors.insert(id, message);
-                        }
-                    }
-                }
-                self.partitions = collected;
-                self.partial.clear();
-                Ok(report)
-            }
-            Err(error) => {
-                // The lost worker took its partition with it; leave the
-                // runtime in a defined (empty) state rather than a torn one.
-                // Keep what was already answered: after a durable crash the
-                // client unions this with the restarted deployment's egress.
-                self.partitions = (0..shards).map(|_| PartitionState::new()).collect();
-                self.partial = delivered;
-                Err(error)
+        // The writer drains its queued seal jobs before it exits, so the
+        // last manifest is on disk before the run returns; a failure it
+        // meets doing so fails the run.
+        if let Some(durable) = coordinator.durable.take() {
+            if let (Err(error), true) = (durable.writer.finish(), outcome.is_ok()) {
+                outcome = Err(error);
             }
         }
+        (outcome, std::mem::take(&mut coordinator.delivered))
     }
+}
+
+/// The inputs [`ShardRuntime::run_threads`] takes over from the run's set-up.
+struct Engine<'a> {
+    snapshot_store: SnapshotStore,
+    start_offsets: Vec<u64>,
+    coord_tx: Sender<ToCoordinator>,
+    coord_rx: Receiver<ToCoordinator>,
+    durable: Option<DurableRun<'a>>,
+    failure: Option<FailurePlan>,
+    service: Option<Arc<service::ServiceCore>>,
+}
+
+/// A run's result: the collected partitions (or the error that ended the
+/// run) and the egress delivered either way.
+type RunOutcome = (
+    Result<Vec<PartitionState>, ShardError>,
+    BTreeMap<u64, Result<Value, String>>,
+);
+
+/// The coordinator's side of the durable tier during a run.
+struct DurableRun<'a> {
+    writer: DurableWriter<'a>,
+    ledger: &'a mut SealLedger,
+    spill_dir: PathBuf,
+}
+
+/// The text of a caught panic's payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn offsets_map(consumed: &[u64]) -> BTreeMap<usize, u64> {
@@ -2599,6 +2650,13 @@ struct Coordinator<'a> {
     /// removed at first delivery (exactly-once to sessions — a replayed
     /// duplicate finds no entry).
     call_sessions: HashMap<u64, (u64, u64)>,
+    /// The durable writer and the seal ledger (`None` in memory).
+    durable: Option<DurableRun<'a>>,
+    /// Admitted calls handed to the durable writer whose group commit has
+    /// not been confirmed yet, in call-id order with their partitioning
+    /// keys. They enter the broker and the scheduling queues only when a
+    /// durable notice covers them.
+    awaiting: VecDeque<(u64, IngressRequest)>,
     /// Decoded snapshot images per **pending** epoch, applied to the read
     /// view (and emitted as CDC) when the epoch seals. Cleared on recovery:
     /// a failed timeline's pending cut must never become visible.
@@ -2642,23 +2700,22 @@ impl Coordinator<'_> {
             .collect();
     }
 
-    /// Service mode: move everything the sessions queued into the
-    /// replayable ingress, assigning call ids in arrival order. On a
-    /// durable runtime each record is appended to the on-disk log first and
-    /// the whole pump group-commits with one `sync_all` — an answered
-    /// service call is always a durable one. Returns how many were
-    /// admitted; a durable failure aborts the run typed (process-death
-    /// semantics, same as the batch path).
-    fn pump_service(&mut self) -> Result<usize, ShardError> {
+    /// Service mode: admit everything the sessions queued, assigning call
+    /// ids in arrival order. In memory the calls go straight into the
+    /// replayable ingress. On a durable runtime the pump encodes them and
+    /// hands them to the durable writer as one log group; they wait in
+    /// `awaiting` until the writer's group commit covers them (see
+    /// [`Coordinator::release_durable`]), so an answered service call is
+    /// always a durable one and the pump itself never touches the disk.
+    fn pump_service(&mut self) {
         let Some(core) = self.service.clone() else {
-            return Ok(0);
+            return;
         };
         let drained = core.drain_requests(usize::MAX);
         if drained.is_empty() {
-            return Ok(0);
+            return;
         }
-        let admitted = drained.len();
-        let mut appended = false;
+        let mut group: EncodedGroup = Vec::new();
         for request in drained {
             // Admission edge: the submitting session's clock flows into the
             // coordinator here, before the call id is assigned.
@@ -2666,37 +2723,62 @@ impl Coordinator<'_> {
                 monitor.join(COORDINATOR_ROLE, stamp);
             }
             let call_id = self.runtime.next_call_id;
-            let key = request.call.target.key_hash();
-            if let Some(tier) = self.runtime.durable.as_mut() {
-                let payload = encode_ingress_record(call_id, &request.call);
-                tier.log.append(key, &payload)?;
-                appended = true;
-            }
-            let ingress_record = IngressRequest {
-                call_id,
-                call: request.call,
-            };
-            let (partition, _offset) =
-                self.runtime
-                    .ingress
-                    .produce(INGRESS_TOPIC, key, ingress_record.clone());
             self.runtime.next_call_id += 1;
             if self.pending.len() <= call_id as usize {
                 self.pending.resize(call_id as usize + 1, 0);
             }
             self.call_sessions
                 .insert(call_id, (request.session, request.seq));
-            // The broker holds the replayable copy; the scheduling queue
-            // gets its own (queues are normally filled by reading the
-            // broker — this just skips the re-read for the common path).
-            self.queues[partition].push_back(ingress_record);
-        }
-        if appended {
-            if let Some(tier) = self.runtime.durable.as_mut() {
-                tier.log.sync_all()?;
+            let key = request.call.target.key_hash();
+            let record = IngressRequest {
+                call_id,
+                call: request.call,
+            };
+            if self.durable.is_some() {
+                group.push((key, encode_ingress_record(call_id, &record.call)));
+                self.awaiting.push_back((key, record));
+            } else {
+                self.admit(key, record);
             }
         }
-        Ok(admitted)
+        if let Some(durable) = &self.durable {
+            durable.writer.send_group(group, self.runtime.next_call_id);
+        }
+    }
+
+    /// Put one admitted call into the replayable ingress and its scheduling
+    /// queue (queues are normally filled by reading the broker — this just
+    /// skips the re-read for the common path).
+    fn admit(&mut self, key: u64, record: IngressRequest) {
+        let (partition, _offset) = self
+            .runtime
+            .ingress
+            .produce(INGRESS_TOPIC, key, record.clone());
+        self.queues[partition].push_back(record);
+    }
+
+    /// The durable writer's notice: every call id below `through` (the end
+    /// of the last group its fsync covered) is durable. Admit the covered
+    /// calls in call-id order — the order the writer appended them, so the
+    /// broker numbers each record exactly as the on-disk log does.
+    fn release_durable(&mut self, through: u64, stamp: Option<racecheck::Stamp>) {
+        if let Some(monitor) = &self.monitor {
+            if let Some(stamp) = stamp.filter(|_| !self.defect.drop_durable_notice_stamp) {
+                monitor.join(COORDINATOR_ROLE, &stamp);
+            }
+            monitor.access(
+                COORDINATOR_ROLE,
+                racecheck::Resource::LogGroup(through),
+                racecheck::AccessKind::Read,
+                "admit durable records",
+            );
+        }
+        while let Some((key, record)) = self
+            .awaiting
+            .pop_front_if(|(_, record)| record.call_id < through)
+        {
+            self.admit(key, record);
+        }
     }
 
     /// Service mode, quiescent point: everything admitted so far is
@@ -2710,12 +2792,18 @@ impl Coordinator<'_> {
             return Ok(false);
         };
         loop {
-            if self.pump_service()? > 0 {
+            self.pump_service();
+            if !self.deferred.is_empty() || self.queues.iter().any(|q| !q.is_empty()) {
+                // Fresh admissions — or a recovery inside the idle barrier
+                // rewound and refilled.
                 return Ok(true);
             }
-            if !self.deferred.is_empty() || self.queues.iter().any(|q| !q.is_empty()) {
-                // A recovery inside the idle barrier rewound and refilled.
-                return Ok(true);
+            if !self.awaiting.is_empty() {
+                // Nothing dispatchable until the writer's group commit
+                // lands: block on the channel its notice arrives on.
+                let msg = self.recv_message()?;
+                self.absorb_background(report, msg)?;
+                continue;
             }
             if self.batches_since_epoch > 0 {
                 self.epoch_barrier(report)?;
@@ -2726,11 +2814,9 @@ impl Coordinator<'_> {
                 return Ok(false);
             }
             // Stay responsive to background byte arrivals (epochs seal
-            // here too) and to worker loss while parked.
+            // here too) and to worker or writer loss while parked.
             self.try_absorb(report)?;
-            if let Some(shard) = self.finished_worker() {
-                return Err(ShardError::Disconnected { shard });
-            }
+            self.check_liveness()?;
             core.wait_for_work(Duration::from_millis(1));
         }
     }
@@ -2743,6 +2829,9 @@ impl Coordinator<'_> {
             match self.coord_rx.try_recv() {
                 Ok(ToCoordinator::WorkerDied { shard, message }) => {
                     return Err(ShardError::WorkerPanicked { shard, message });
+                }
+                Ok(ToCoordinator::DurableFailed { error }) => {
+                    return Err(ShardError::Durable { error });
                 }
                 Ok(ToCoordinator::Misrouted {
                     shard,
@@ -2774,7 +2863,7 @@ impl Coordinator<'_> {
         loop {
             // Service mode: admit whatever the sessions queued since the
             // last look (non-blocking; plain runs skip this entirely).
-            self.pump_service()?;
+            self.pump_service();
             // Adaptive footprint fallback: a call starved past the
             // threshold gets the pipeline drained and a batch of its own —
             // a solo batch in an empty pipeline commits unconditionally,
@@ -3069,6 +3158,9 @@ impl Coordinator<'_> {
                 Ok(ToCoordinator::WorkerDied { shard, message }) => {
                     return Err(ShardError::WorkerPanicked { shard, message });
                 }
+                Ok(ToCoordinator::DurableFailed { error }) => {
+                    return Err(ShardError::Durable { error });
+                }
                 Ok(ToCoordinator::Misrouted {
                     shard,
                     call_id,
@@ -3081,11 +3173,7 @@ impl Coordinator<'_> {
                     });
                 }
                 Ok(msg) => return Ok(msg),
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(shard) = self.finished_worker() {
-                        return Err(ShardError::Disconnected { shard });
-                    }
-                }
+                Err(RecvTimeoutError::Timeout) => self.check_liveness()?,
                 Err(RecvTimeoutError::Disconnected) => {
                     let shard = self.finished_worker().unwrap_or(0);
                     return Err(ShardError::Disconnected { shard });
@@ -3101,6 +3189,19 @@ impl Coordinator<'_> {
     /// answer for that shard again.
     fn finished_worker(&self) -> Option<usize> {
         self.handles.iter().position(JoinHandle::is_finished)
+    }
+
+    /// The liveness probe: a finished worker surfaces as
+    /// [`ShardError::Disconnected`], a finished durable writer (it only
+    /// exits early on failure) as its own error.
+    fn check_liveness(&mut self) -> Result<(), ShardError> {
+        if let Some(shard) = self.finished_worker() {
+            return Err(ShardError::Disconnected { shard });
+        }
+        match &mut self.durable {
+            Some(durable) => durable.writer.check_alive(),
+            None => Ok(()),
+        }
     }
 
     /// Block until every committed call of the batch has answered, recording
@@ -3190,12 +3291,15 @@ impl Coordinator<'_> {
             ToCoordinator::Responses { incarnation, .. } => {
                 debug_assert_ne!(incarnation, self.incarnation, "live response dropped");
             }
+            ToCoordinator::Durable { through, stamp } => self.release_durable(through, stamp),
             ToCoordinator::BarrierCaptured { .. } => {}
             ToCoordinator::Collected { .. } => {
                 unreachable!("collect only happens after the batch loop")
             }
-            ToCoordinator::WorkerDied { .. } | ToCoordinator::Misrouted { .. } => {
-                unreachable!("recv_message converts worker-loss messages to errors")
+            ToCoordinator::WorkerDied { .. }
+            | ToCoordinator::Misrouted { .. }
+            | ToCoordinator::DurableFailed { .. } => {
+                unreachable!("recv_message converts thread-loss messages to errors")
             }
         }
         Ok(())
@@ -3364,94 +3468,17 @@ impl Coordinator<'_> {
         self.persist_sealed()
     }
 
-    /// Push the latest sealed epoch to the durable tier (no-op without one):
-    /// upload every snapshot file the epoch's recovery chain references that
-    /// is not on disk yet, commit a manifest naming exactly those files plus
-    /// the epoch's ingress offsets, GC unreferenced snapshot files (this is
-    /// what makes in-memory pruning — `truncate_after`, anchor compaction —
-    /// delete on-disk artifacts too), and garbage-collect the log prefix
-    /// below the sealed offsets. The manifest rename is the commit point: a
-    /// crash anywhere before it leaves the previous sealed epoch intact.
+    /// Queue the latest sealed epoch's persistence on the durable writer
+    /// (no-op without a durable tier): the coordinator picks the files and
+    /// builds the manifest ([`SealLedger::seal_job`]); the writer uploads,
+    /// commits, reaps and truncates. Jobs reach disk in seal order.
     fn persist_sealed(&mut self) -> Result<(), ShardError> {
+        let Some(durable) = self.durable.as_mut() else {
+            return Ok(());
+        };
         let shards = self.runtime.config.shards;
-        let Some(epoch) = self.snapshot_store.latest_sealed_epoch() else {
-            return Ok(());
-        };
-        let Some(tier) = self.runtime.durable.as_mut() else {
-            return Ok(());
-        };
-        // Pruned epochs (rollback truncation, amortized anchor retirement)
-        // leave the upload ledger first so a re-sealed epoch re-uploads. The
-        // *files* are not touched here: deleting before the new manifest
-        // lands would tear the current commit point, so disk cleanup is
-        // entirely the post-commit `gc` reaping whatever the new manifest no
-        // longer references.
-        for (pruned_epoch, partition) in self.snapshot_store.take_pruned() {
-            for kind in [SnapKind::Full, SnapKind::Delta, SnapKind::Merged] {
-                tier.uploaded
-                    .remove(&(pruned_epoch, partition as u32, kind));
-            }
-        }
-        let mut files: Vec<(u64, u32, SnapKind)> = Vec::new();
-        for p in 0..shards {
-            for (e, kind) in self.snapshot_store.chain_epochs(p, epoch) {
-                let skind = match kind {
-                    SnapshotKind::Full => SnapKind::Full,
-                    SnapshotKind::Delta => SnapKind::Delta,
-                };
-                files.push((tier.file_epoch(e), p as u32, skind));
-                if tier.uploaded.insert((e, p as u32, skind)) {
-                    // A chain epoch without its snapshot means the store
-                    // lost data out from under us — surface it typed, the
-                    // durable commit point must not advance over a hole.
-                    let bytes = self
-                        .snapshot_store
-                        .epoch(e)
-                        .and_then(|parts| parts.get(&p))
-                        .map(|snap| snap.state.clone())
-                        .ok_or(ShardError::IncompleteEpoch { epoch: e })?;
-                    tier.snapshots
-                        .put(tier.file_epoch(e), p as u32, skind, &bytes)?;
-                }
-            }
-            // The chain past the anchor lives as one lazily merged delta;
-            // upload it in place of the pruned raw deltas. The
-            // merge grows every seal, so it is always re-uploaded under the
-            // sealed epoch's name.
-            if let Some(bytes) = self.snapshot_store.merged_delta_bytes(p) {
-                let bytes = bytes.to_vec();
-                tier.snapshots
-                    .put(tier.file_epoch(epoch), p as u32, SnapKind::Merged, &bytes)?;
-                files.push((tier.file_epoch(epoch), p as u32, SnapKind::Merged));
-            }
-        }
-        let offsets: Vec<u64> = {
-            // Same contract: a sealed epoch without offsets is a store
-            // defect, not a coordinator bug — typed, never a panic.
-            let recorded = self
-                .snapshot_store
-                .epoch_offsets(epoch)
-                .ok_or(ShardError::IncompleteEpoch { epoch })?;
-            (0..shards)
-                .map(|p| recorded.get(&p).copied().unwrap_or(0))
-                .collect()
-        };
-        let manifest = Manifest {
-            sealed_epoch: epoch,
-            incarnation: tier.generation,
-            shards: shards as u32,
-            offsets: offsets.clone(),
-            files,
-        };
-        tier.snapshots.commit_manifest(&manifest)?;
-        tier.snapshots.gc(&manifest)?;
-        tier.uploaded = manifest
-            .files
-            .iter()
-            .map(|&(fe, p, k)| (fe & EPOCH_MASK, p, k))
-            .collect();
-        for (p, &off) in offsets.iter().enumerate() {
-            tier.log.truncate_before(p, off)?;
+        if let Some(job) = durable.ledger.seal_job(&mut self.snapshot_store, shards)? {
+            durable.writer.send_seal(job);
         }
         Ok(())
     }

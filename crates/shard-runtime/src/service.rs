@@ -374,13 +374,58 @@ impl ServiceCore {
     /// full images (the periodic rebase) are diffed against the view so
     /// subscribers see changes, not a full re-broadcast. Returns the number
     /// of updates delivered (counting fan-out to multiple subscriptions).
+    ///
+    /// Readers are blocked only for the swap itself: the diff runs under the
+    /// read lock — sound because the coordinator is the view's only writer,
+    /// so no slot changes between the diff and the swap — and the replaced
+    /// partition maps are dropped after the write lock is released.
     pub(crate) fn apply_sealed(&self, epoch: u64, parts: Vec<(usize, DecodedImage)>) -> u64 {
         let mut changed: Vec<StateUpdate> = Vec::new();
         {
             // Poisoning here would mean a *reader* panicked mid-read (readers
             // only clone); treat the map as still valid rather than wedging
             // the coordinator.
-            // lock-order: view alone, dropped at block end before subs.
+            // lock-order: view alone (read), dropped at block end.
+            let view = match self.view.read() {
+                Ok(v) => v,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            for (partition, image) in &parts {
+                let update = |addr: &EntityAddr, state: Option<&EntityState>| StateUpdate {
+                    epoch,
+                    addr: addr.clone(),
+                    fields: state.map(field_image).unwrap_or_default(),
+                    deleted: state.is_none(),
+                };
+                match image.kind {
+                    state_backend::SnapshotKind::Delta => {
+                        for (addr, state) in &image.entities {
+                            changed.push(update(addr, Some(state)));
+                        }
+                        for addr in &image.tombstones {
+                            changed.push(update(addr, None));
+                        }
+                    }
+                    state_backend::SnapshotKind::Full => {
+                        let slot = &view.partitions[*partition];
+                        for (addr, state) in &image.entities {
+                            if slot.get(addr).is_none_or(|old| old != state) {
+                                changed.push(update(addr, Some(state)));
+                            }
+                        }
+                        for addr in slot.keys() {
+                            if !image.entities.contains_key(addr) {
+                                changed.push(update(addr, None));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut replaced = Vec::new();
+        {
+            // lock-order: view alone (write), dropped at block end before
+            // the replaced maps and before subs.
             let mut view = match self.view.write() {
                 Ok(v) => v,
                 Err(poisoned) => poisoned.into_inner(),
@@ -389,52 +434,19 @@ impl ServiceCore {
                 let slot = &mut view.partitions[partition];
                 match image.kind {
                     state_backend::SnapshotKind::Delta => {
-                        for (addr, state) in image.entities {
-                            changed.push(StateUpdate {
-                                epoch,
-                                addr: addr.clone(),
-                                fields: field_image(&state),
-                                deleted: false,
-                            });
-                            slot.insert(addr, state);
-                        }
-                        for addr in image.tombstones {
-                            slot.remove(&addr);
-                            changed.push(StateUpdate {
-                                epoch,
-                                addr,
-                                fields: Vec::new(),
-                                deleted: true,
-                            });
+                        slot.extend(image.entities);
+                        for addr in &image.tombstones {
+                            slot.remove(addr);
                         }
                     }
                     state_backend::SnapshotKind::Full => {
-                        for (addr, state) in &image.entities {
-                            if slot.get(addr).is_none_or(|old| old != state) {
-                                changed.push(StateUpdate {
-                                    epoch,
-                                    addr: addr.clone(),
-                                    fields: field_image(state),
-                                    deleted: false,
-                                });
-                            }
-                        }
-                        for addr in slot.keys() {
-                            if !image.entities.contains_key(addr) {
-                                changed.push(StateUpdate {
-                                    epoch,
-                                    addr: addr.clone(),
-                                    fields: Vec::new(),
-                                    deleted: true,
-                                });
-                            }
-                        }
-                        *slot = image.entities;
+                        replaced.push(std::mem::replace(slot, image.entities));
                     }
                 }
             }
             view.epoch = epoch;
         }
+        drop(replaced);
 
         let mut delivered = 0u64;
         if !changed.is_empty() {

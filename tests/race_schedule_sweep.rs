@@ -16,9 +16,14 @@
 //!   monitor-armed: recovery (worker respawn, timeline rollback, replay)
 //!   must itself be race-free and order-certified, not just end-state
 //!   correct.
+//! * **Durable serve** — a `new_durable` runtime serving a session under 8
+//!   schedule seeds: the durable writer's hand-off and notice edges must
+//!   order every log group's fsync before the records it covers dispatch;
+//!   a dropped notice stamp (a third seeded defect) must trip the race.
 
+use durable_log::testutil::TempDir;
 use racecheck::{Monitor, Resource, SchedulePlan};
-use shard_runtime::{FailureMode, FailurePlan, ShardConfig, ShardRuntime};
+use shard_runtime::{DurableConfig, FailureMode, FailurePlan, ShardConfig, ShardRuntime};
 use stateful_entities::{EntityState, Key, MethodCall, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -157,6 +162,93 @@ fn corpus_sweep_is_race_free_and_order_certified() {
     }
 }
 
+/// Serve `ops` from one session (8 in flight) on a `new_durable` runtime in
+/// a fresh directory: the report, every outcome in submission order, and
+/// the final states by key.
+fn durable_serve(
+    config: ShardConfig,
+    record_count: usize,
+    ops: &[Operation],
+) -> (
+    shard_runtime::ShardReport,
+    Vec<Outcome>,
+    BTreeMap<String, EntityState>,
+) {
+    const IN_FLIGHT: usize = 8;
+    let program = account_program();
+    let tmp = TempDir::new("race-durable");
+    let config = ShardConfig {
+        durable: Some(DurableConfig::new(tmp.path())),
+        ..config
+    };
+    let mut rt =
+        ShardRuntime::new_durable(program.ir.clone(), config).expect("boot durable runtime");
+    for i in 0..record_count {
+        rt.load_entity("Account", &account_init_args(i, 16))
+            .unwrap();
+    }
+    let (report, out) = rt
+        .serve(|handle| {
+            let mut session = handle.session();
+            let mut out: BTreeMap<u64, Outcome> = BTreeMap::new();
+            for (sent, op) in ops.iter().enumerate() {
+                if sent - out.len() == IN_FLIGHT {
+                    let response = session
+                        .recv_timeout(std::time::Duration::from_secs(30))
+                        .expect("answered");
+                    out.insert(response.seq, response.result);
+                }
+                session.submit(op.to_call(&program.ir)).expect("admitted");
+            }
+            for response in session.collect(ops.len() - out.len()) {
+                out.insert(response.seq, response.result);
+            }
+            out
+        })
+        .expect("durable serve");
+    let states = rt
+        .final_states()
+        .into_iter()
+        .map(|(addr, state)| (addr.key().to_string(), state))
+        .collect();
+    (report, out.into_values().collect(), states)
+}
+
+/// The durable path under the monitor: a `new_durable` runtime serving one
+/// session, 8 schedule seeds. The durable writer is a monitored role whose
+/// two edges — the coordinator's hand-off of each log group and the
+/// writer's post-fsync notice — are the only order between a group's fsync
+/// and the dispatch of its records; every run must stay race-free,
+/// order-certified, and oracle-equal.
+#[test]
+fn durable_serve_sweep_is_race_free_and_order_certified() {
+    const DURABLE_SEEDS: u64 = 8;
+    let spec = sweep_spec(WorkloadMix::mixed_m(), 0xD0C5);
+    let ops = spec.operations();
+    let (oracle_out, oracle_states) = oracle_outcomes(spec.record_count, &ops);
+    for seed in 0..DURABLE_SEEDS {
+        let monitor = Monitor::armed();
+        let (report, out, states) =
+            durable_serve(monitored_config(seed, &monitor), spec.record_count, &ops);
+        assert_eq!(
+            out, oracle_out,
+            "seed {seed}: durable serve diverged from the oracle"
+        );
+        assert_eq!(states, oracle_states, "seed {seed}: final states diverged");
+        assert!(
+            monitor.is_clean(),
+            "seed {seed}: monitor flagged the durable run:\n{}",
+            monitor.report()
+        );
+        assert!(report.log_syncs > 0, "seed {seed}: no group commit ran");
+        let stats = monitor.stats();
+        assert!(
+            stats.batches_certified > 0 && stats.calls_certified >= ops.len() as u64,
+            "seed {seed}: certifier never engaged ({stats:?})"
+        );
+    }
+}
+
 /// Identical submissions + identical schedule seed ⇒ identical outcome.
 /// The perturbation is part of the deterministic state, not new entropy.
 #[test]
@@ -199,6 +291,7 @@ fn dropped_barrier_ack_stamp_trips_the_cut_race() {
         defect: racecheck::DefectPlan {
             drop_barrier_ack_stamp: true,
             mis_mask_batch: None,
+            drop_durable_notice_stamp: false,
         },
         ..ShardConfig::with_shards(SHARDS)
     };
@@ -253,6 +346,40 @@ fn dropped_barrier_ack_stamp_trips_the_cut_race() {
     );
 }
 
+/// Dropping the durable writer's notice stamp severs the edge that orders a
+/// log group's fsync before the coordinator admits its records for
+/// dispatch. The detector must flag exactly that: a write-read race on a
+/// [`Resource::LogGroup`] between the writer's fsync and the admission.
+#[test]
+fn dropped_durable_notice_stamp_trips_the_log_group_race() {
+    let spec = sweep_spec(WorkloadMix::mixed_m(), 0xD0C5);
+    let ops = spec.operations();
+    let monitor = Monitor::armed();
+    let config = ShardConfig {
+        batch_size: 8,
+        epoch_every_batches: 2,
+        monitor: Some(Arc::clone(&monitor)),
+        defect: racecheck::DefectPlan {
+            drop_durable_notice_stamp: true,
+            ..racecheck::DefectPlan::default()
+        },
+        ..ShardConfig::with_shards(SHARDS)
+    };
+    let (report, _, _) = durable_serve(config, spec.record_count, &ops);
+    assert!(report.log_syncs > 0, "no group commit ran");
+    let races = monitor.races();
+    assert!(
+        races
+            .iter()
+            .any(|race| matches!(race.resource, Resource::LogGroup(_))
+                && race.kind == "write-read"
+                && race.prior.context == "group commit fsync"
+                && race.current.context == "admit durable records"),
+        "the dropped notice stamp went undetected:\n{}",
+        monitor.report()
+    );
+}
+
 /// Mis-masking one conflict pair makes the engine dispatch two genuinely
 /// conflicting calls in one batch. The certifier — which re-derives the
 /// conflict rule from footprints independently — must flag an intra-batch
@@ -268,6 +395,7 @@ fn mis_masked_conflict_pair_trips_the_certifier() {
         defect: racecheck::DefectPlan {
             drop_barrier_ack_stamp: false,
             mis_mask_batch: Some(1),
+            drop_durable_notice_stamp: false,
         },
         ..ShardConfig::with_shards(SHARDS)
     };

@@ -16,14 +16,20 @@
 //! * **Service mode survives a cold restart** — a durable deployment serves
 //!   sessions, restarts from disk alone, and serves again from the recovered
 //!   states.
+//! * **A crash in the middle of `serve` loses no answer** — process death
+//!   at a log group commit, a snapshot upload or a manifest rename ends the
+//!   serve with the typed error naming that point; a cold restart then
+//!   re-derives every answer the session saw and reaches the sequential
+//!   oracle's states over exactly the call-id prefix it replayed.
 
 use durable_log::testutil::TempDir;
-use durable_log::{CrashPoint, FaultInjector};
+use durable_log::{CrashPoint, DurableError, FaultInjector};
 use shard_runtime::service::StateUpdate;
 use shard_runtime::{DurableConfig, FailurePlan, ShardConfig, ShardError, ShardRuntime};
-use stateful_entities::{EntityAddr, Value};
+use stateful_entities::{EntityAddr, EntityState, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::Mutex;
 use std::time::Duration;
 use workloads::{account_init_args, account_program, Operation, INITIAL_BALANCE};
 
@@ -340,4 +346,176 @@ fn durable_service_cold_restart_serves_recovered_state() {
         })
         .sum();
     assert_eq!(after, before + 17);
+}
+
+type Outcome = Result<Value, String>;
+
+/// The sequential oracle over `ops`: per-call outcomes in order, plus final
+/// Account states by key.
+fn oracle(ops: &[Operation]) -> (Vec<Outcome>, BTreeMap<String, EntityState>) {
+    let program = account_program();
+    let mut oracle = program.local_runtime();
+    for i in 0..ACCOUNTS {
+        oracle.create("Account", &account_init_args(i, 16)).unwrap();
+    }
+    let outcomes = ops
+        .iter()
+        .map(|op| {
+            oracle
+                .call_resolved(op.to_call(&program.ir))
+                .map_err(|e| e.message)
+        })
+        .collect();
+    let states = oracle
+        .instances_of("Account")
+        .into_iter()
+        .map(|(key, state)| (key.to_string(), state))
+        .collect();
+    (outcomes, states)
+}
+
+/// Process death in the middle of `serve`: at a log group commit
+/// (`MidFsync`), a seal's snapshot upload (`MidUpload`) or its manifest
+/// rename (`MidManifestRename`), two hit counts each, all past the epoch-0
+/// baseline. The serve must end with `ShardError::Durable` naming the point.
+/// A cold restart from the directory alone must then
+/// * re-answer every call the session had an answer for, with the same
+///   value, or hold it in the sealed state it recovered — every answered
+///   call is durable, so it lies inside the replayed call-id prefix and its
+///   answer is the oracle's;
+/// * reach the `LocalRuntime` oracle's states over exactly that prefix.
+#[test]
+fn crash_mid_serve_restarts_to_the_oracle_prefix() {
+    const CALLS: usize = 240;
+    const IN_FLIGHT: usize = 16;
+    let ir = account_program().ir;
+    let ops: Vec<Operation> = (0..CALLS)
+        .map(|i| match i % 3 {
+            0 => Operation::Credit {
+                key: i % ACCOUNTS,
+                amount: 1 + (i % 5) as i64,
+            },
+            1 => Operation::Transfer {
+                from: i % ACCOUNTS,
+                to: (i * 5 + 1) % ACCOUNTS,
+                amount: 3,
+            },
+            _ => Operation::Read {
+                key: (i * 7) % ACCOUNTS,
+            },
+        })
+        .collect();
+    let cases = [
+        (CrashPoint::MidFsync, 2u64),
+        (CrashPoint::MidFsync, 9),
+        (CrashPoint::MidUpload, 4),
+        (CrashPoint::MidUpload, 20),
+        (CrashPoint::MidManifestRename, 2),
+        (CrashPoint::MidManifestRename, 7),
+    ];
+    let mut answered_total = 0;
+    for (point, skip) in cases {
+        let context = format!("{point} skip={skip}");
+        let tmp = TempDir::new("service-crash");
+        let fault = FaultInjector::new();
+        let mut rt = durable_boot(tmp.path(), &fault);
+        fault.arm(point, skip);
+
+        // The client's view, kept outside the closure: a failed serve
+        // returns only the error.
+        let answers: Mutex<BTreeMap<u64, Outcome>> = Mutex::new(BTreeMap::new());
+        let served = rt.serve(|handle| {
+            let mut session = handle.session();
+            let record = |response: shard_runtime::service::SessionResponse| {
+                answers
+                    .lock()
+                    .unwrap()
+                    .insert(response.call_id, response.result);
+            };
+            let mut outstanding = 0;
+            for op in &ops {
+                if outstanding == IN_FLIGHT {
+                    match session.recv_timeout(Duration::from_secs(30)) {
+                        Ok(response) => record(response),
+                        Err(_) => break,
+                    }
+                    outstanding -= 1;
+                }
+                if session.submit(op.to_call(&ir)).is_err() {
+                    break;
+                }
+                outstanding += 1;
+            }
+            // Until the service is gone: the crash drops every session.
+            while let Ok(response) = session.recv_timeout(Duration::from_secs(30)) {
+                record(response);
+            }
+        });
+        match served {
+            Err(ShardError::Durable {
+                error: DurableError::CrashInjected { point: fired },
+            }) => assert_eq!(fired, point, "{context}"),
+            Err(other) => panic!("{context}: expected an injected crash, got {other}"),
+            Ok(_) => panic!("{context}: the armed crash never fired"),
+        }
+        assert_eq!(fault.armed(), None, "{context}: the plan fired once");
+        let answers = answers.into_inner().unwrap();
+        answered_total += answers.len();
+        drop(rt);
+
+        let mut restarted = durable_boot(tmp.path(), &fault);
+        let report = restarted.run().expect("restart replays");
+        let states: BTreeMap<String, EntityState> = restarted
+            .final_states()
+            .into_iter()
+            .map(|(addr, state)| (addr.key().to_string(), state))
+            .collect();
+        // The next call id after the replay is the replayed prefix's length
+        // (ids are dense from 0, one session submitted them in order).
+        let replayed = restarted
+            .try_submit(ops[0].to_call(&ir))
+            .expect("append after restart")
+            .0 as usize;
+        assert!(replayed <= CALLS, "{context}: replayed {replayed} calls");
+        let (oracle_out, oracle_states) = oracle(&ops[..replayed]);
+        assert_eq!(
+            states, oracle_states,
+            "{context}: restart diverged from the oracle over {replayed} calls"
+        );
+        let mut reanswered: BTreeMap<u64, Outcome> = BTreeMap::new();
+        for (&id, value) in &report.responses {
+            reanswered.insert(id, Ok(value.clone()));
+        }
+        for (&id, message) in &report.errors {
+            reanswered.insert(id, Err(message.clone()));
+        }
+        for (id, outcome) in &reanswered {
+            assert_eq!(
+                Some(outcome),
+                oracle_out.get(*id as usize),
+                "{context}: replayed call {id} diverged from the oracle"
+            );
+        }
+        for (id, outcome) in &answers {
+            assert!(
+                (*id as usize) < replayed,
+                "{context}: call {id} was answered but is not durable \
+                 (restart replayed {replayed} calls)"
+            );
+            assert_eq!(
+                outcome, &oracle_out[*id as usize],
+                "{context}: call {id} was answered differently from the oracle"
+            );
+            if let Some(again) = reanswered.get(id) {
+                assert_eq!(
+                    again, outcome,
+                    "{context}: call {id} re-answered differently"
+                );
+            }
+        }
+    }
+    assert!(
+        answered_total > 0,
+        "no case answered anything before its crash"
+    );
 }
