@@ -191,6 +191,19 @@ pub(crate) struct SealJob {
 }
 
 impl SealJob {
+    /// The sealed epoch this job persists.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.manifest.sealed_epoch
+    }
+
+    /// `(partition, bytes)` of each merged delta this job uploads.
+    pub(crate) fn merged_uploads(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.uploads
+            .iter()
+            .filter(|upload| upload.name.2 == SnapKind::Merged)
+            .map(|upload| (upload.name.1 as usize, upload.bytes.len() as u64))
+    }
+
     /// Perform the next file operation; `Ok(true)` once the job is complete.
     fn step(&mut self, disk: &mut DurableDisk) -> Result<bool, DurableError> {
         let uploads = self.uploads.len();

@@ -113,9 +113,12 @@
 //! broadcasts an **epoch barrier** to all shards. Since PR 5 the barrier's
 //! critical path is the **capture walk only**: each shard moves its (dirty)
 //! entities' current values into a copy-on-write [`SnapshotCapture`]
-//! (`Arc`-shared values make this a refcount walk, not a deep copy — a
-//! **full** capture every `full_snapshot_every` epochs, a **dirty-entity
-//! delta** otherwise), acks immediately, and resumes executing batches. The
+//! (`Arc`-shared values make this a refcount walk, not a deep copy), acks
+//! immediately, and resumes executing batches. A capture is a
+//! **dirty-entity delta**, or a **full** one for every partition once some
+//! partition's delta chain has cost as many bytes as its last full anchor —
+//! the rent-or-buy rule of the `rebase` module, with no knob; the barrier
+//! after a rollback is always full. The
 //! exact-size encoder runs in the **background**, interleaved with batch
 //! processing on the shard thread (whenever the inbox is empty), and the
 //! bytes ship to the coordinator asynchronously.
@@ -331,6 +334,7 @@
 #![forbid(unsafe_code)]
 
 mod durable_tier;
+mod rebase;
 pub mod service;
 
 use durable_log::{
@@ -339,6 +343,7 @@ use durable_log::{
 };
 use durable_tier::{DurableTier, DurableWriter, EncodedGroup, SealLedger, EPOCH_MASK};
 use mq::Broker;
+use rebase::RebaseMeter;
 use state_backend::{PartitionState, Snapshot, SnapshotCapture, SnapshotKind, SnapshotStore};
 use stateful_entities::{
     binary, interp, CallId, CallStack, DataflowIR, EntityAddr, EntityState, Event, EventKind, Key,
@@ -383,11 +388,11 @@ pub struct ShardConfig {
     /// across all ingress partitions) form one deterministic batch.
     pub batch_size: usize,
     /// Take an epoch barrier every this many batches (`0` disables epochs —
-    /// no snapshots, no recovery anchor beyond the baseline).
+    /// no snapshots, no recovery anchor beyond the baseline). Whether a
+    /// barrier captures deltas or full partitions is not configured: it
+    /// rebases once some partition's delta chain has cost as many bytes as
+    /// its last full capture (see the module docs' barrier protocol).
     pub epoch_every_batches: u64,
-    /// Every `full_snapshot_every`-th epoch captures the full partition;
-    /// the epochs in between emit dirty-entity deltas (`1` = always full).
-    pub full_snapshot_every: u64,
     /// A call deferred this many consecutive times triggers the adaptive
     /// fallback: the coordinator drains the pipeline and dispatches the
     /// starved call alone (a solo batch commits unconditionally, whatever
@@ -444,7 +449,6 @@ impl Default for ShardConfig {
             shards: 4,
             batch_size: 128,
             epoch_every_batches: 8,
-            full_snapshot_every: 4,
             adaptive_fallback_after: 4,
             max_pending_captures: 8,
             durable: None,
@@ -2230,12 +2234,20 @@ impl ShardRuntime {
             }
         }
         let total_calls = self.next_call_id as usize;
+        // The epoch-0 baseline is every partition's first anchor.
+        let rebase = RebaseMeter::new((0..shards).map(|p| {
+            snapshot_store
+                .epoch(0)
+                .and_then(|parts| parts.get(&p))
+                .map_or(0, |snap| snap.state.len() as u64)
+        }));
         let mut coordinator = Coordinator {
             runtime: self,
             shard_txs,
             coord_rx,
             handles,
             snapshot_store,
+            rebase,
             incarnation: 0,
             epoch: 0,
             batches_since_epoch: 0,
@@ -2367,12 +2379,13 @@ fn recovery_states(
 type ConflictKey = (u32, u64);
 
 /// A minimal multiply-xor hasher for [`ConflictKey`] maps on the
-/// coordinator's hot path. The inputs are already well-mixed (the `u64` is
-/// the cached FNV key hash), so SipHash's DoS resistance buys nothing here
-/// while costing ~2× per probe. Deterministic; no map iteration order is
-/// ever observable in results.
+/// coordinator's hot path, and for the service read view's
+/// [`EntityAddr`]-keyed maps (an address hashes the same two integers). The
+/// inputs are already well-mixed (the `u64` is the cached FNV key hash), so
+/// SipHash's DoS resistance buys nothing here while costing ~2× per probe.
+/// Deterministic; no map iteration order is ever observable in results.
 #[derive(Default)]
-struct ConflictKeyHasher(u64);
+pub(crate) struct ConflictKeyHasher(u64);
 
 impl std::hash::Hasher for ConflictKeyHasher {
     #[inline]
@@ -2607,6 +2620,8 @@ struct Coordinator<'a> {
     /// quiet (see [`ShardError::Disconnected`]).
     handles: Vec<JoinHandle<()>>,
     snapshot_store: SnapshotStore,
+    /// Decides which barriers rebase (see [`rebase`]).
+    rebase: RebaseMeter,
     incarnation: u64,
     epoch: u64,
     batches_since_epoch: u64,
@@ -3353,11 +3368,20 @@ impl Coordinator<'_> {
                 .push((shard, image));
         }
         report.snapshots_taken += 1;
-        if kind == SnapshotKind::Delta {
-            report.delta_snapshots_taken += 1;
+        let len = bytes.len() as u64;
+        match kind {
+            SnapshotKind::Full => self.rebase.anchor(epoch, shard, len),
+            SnapshotKind::Delta => {
+                report.delta_snapshots_taken += 1;
+                // A durable chain is charged its uploads instead, at the seal
+                // (see `persist_sealed`).
+                if self.durable.is_none() {
+                    self.rebase.charge(epoch, shard, len);
+                }
+            }
         }
-        report.snapshot_bytes += bytes.len() as u64;
-        report.encode_off_barrier_bytes += bytes.len() as u64;
+        report.snapshot_bytes += len;
+        report.encode_off_barrier_bytes += len;
         let source_offsets = self
             .pending_offsets
             .get(&epoch)
@@ -3478,6 +3502,10 @@ impl Coordinator<'_> {
         };
         let shards = self.runtime.config.shards;
         if let Some(job) = durable.ledger.seal_job(&mut self.snapshot_store, shards)? {
+            // On disk a chain costs what every seal re-uploads: its merge.
+            for (partition, bytes) in job.merged_uploads() {
+                self.rebase.charge(job.epoch(), partition, bytes);
+            }
             durable.writer.send_seal(job);
         }
         Ok(())
@@ -3513,8 +3541,7 @@ impl Coordinator<'_> {
         }
 
         self.epoch += 1;
-        let rebase = self.runtime.config.full_snapshot_every;
-        let full = rebase <= 1 || self.epoch.is_multiple_of(rebase);
+        let full = self.rebase.barrier(self.epoch);
         // Announce the pending epoch and pin its cut offsets *before* the
         // broadcast: bytes can start arriving the moment a shard goes idle.
         self.pending_offsets
@@ -3680,6 +3707,7 @@ impl Coordinator<'_> {
         self.pending.fill(0);
         self.epoch = epoch;
         self.batches_since_epoch = 0;
+        self.rebase.force();
         // Service state: the failed timeline's pending cuts must never
         // become visible, and the consumed-prefix watermark falls back to
         // the recovered epoch's (replay will re-consume from there).
@@ -4219,6 +4247,91 @@ entity Proxy:
             "every epoch captures every shard"
         );
         assert!(report.delta_snapshots_taken > 0);
+    }
+
+    /// The chain-size rule through the whole barrier path: deltas first, a
+    /// rebase once some partition's chain has cost its anchor (a few small
+    /// deltas here, with two accounts per shard), and every rebase a full
+    /// capture of every shard in the same epoch.
+    #[test]
+    fn rebases_capture_every_shard_once_a_chain_outgrows_its_anchor() {
+        let shards = 3;
+        let mut rt = account_runtime(
+            ShardConfig {
+                batch_size: 2,
+                epoch_every_batches: 1,
+                ..ShardConfig::with_shards(shards)
+            },
+            6,
+        );
+        for i in 0..240u64 {
+            rt.submit(call(
+                &rt,
+                &format!("acc{}", i % 6),
+                "update",
+                vec![Value::Int(i as i64)],
+            ));
+        }
+        let report = rt.run().unwrap();
+        let fulls = report.snapshots_taken - report.delta_snapshots_taken;
+        assert!(report.delta_snapshots_taken > 0, "chains start as deltas");
+        assert!(
+            fulls > 0,
+            "{} epochs and no rebase",
+            report.epochs_completed
+        );
+        assert_eq!(fulls % shards as u64, 0, "a rebase spans every shard");
+        assert!(
+            fulls < report.snapshots_taken / 2,
+            "deltas outnumber rebases"
+        );
+        assert_eq!(report.max_delta_chain, 1);
+    }
+
+    /// After a rollback the meter has not measured the recovered chain, so
+    /// the next barrier rebases and the meter restarts from it. Nothing else
+    /// rebases here: 300 accounts make every anchor far larger than the
+    /// run's deltas combined.
+    #[test]
+    fn rollback_forces_one_rebase_and_restarts_the_meter() {
+        let build = || {
+            let mut rt = account_runtime(
+                ShardConfig {
+                    batch_size: 4,
+                    epoch_every_batches: 2,
+                    ..ShardConfig::with_shards(3)
+                },
+                300,
+            );
+            for i in 0..48u64 {
+                rt.submit(call(
+                    &rt,
+                    &format!("acc{}", i * 7 % 300),
+                    "update",
+                    vec![Value::Int(i as i64)],
+                ));
+            }
+            rt
+        };
+        let mut healthy = build();
+        let healthy_report = healthy.run().unwrap();
+        assert_eq!(
+            healthy_report.snapshots_taken, healthy_report.delta_snapshots_taken,
+            "no chain outgrows its anchor in a healthy run"
+        );
+
+        let mut failed = build();
+        let report = failed
+            .run_with_failure(FailurePlan::in_flight(7, 1))
+            .unwrap();
+        assert_eq!(report.recoveries, 1);
+        assert_eq!(
+            report.snapshots_taken - report.delta_snapshots_taken,
+            3,
+            "exactly one rebase, of every shard, after the rollback"
+        );
+        assert_eq!(report.responses, healthy_report.responses);
+        assert_eq!(failed.final_states(), healthy.final_states());
     }
 
     #[test]

@@ -49,10 +49,11 @@
 //! replays them into the restarted deployment (sessions are gone, but state,
 //! egress dedup, and CDC-per-seal semantics carry over).
 
-use crate::ShardError;
-use state_backend::DecodedImage;
+use crate::{ConflictKeyHasher, ShardError};
+use state_backend::{DecodedImage, SnapshotKind};
 use stateful_entities::{ClassId, EntityAddr, EntityState, MethodCall, ShardMap, Value};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
@@ -221,10 +222,28 @@ type StampedResponse = (SessionResponse, Option<racecheck::Stamp>);
 
 /// The read view: per-partition decoded entity maps at the latest **sealed**
 /// epoch. Partition-scoped because full snapshots replace one partition's
-/// image wholesale.
+/// image wholesale. Each partition is hash-indexed by address, so a point
+/// read is one probe on the address's cached key hash instead of a walk of
+/// key comparisons down a tree; scans restore address order themselves.
 struct ReadView {
     epoch: u64,
-    partitions: Vec<BTreeMap<EntityAddr, EntityState>>,
+    partitions: Vec<ViewPartition>,
+}
+
+/// One partition of the [`ReadView`]. Keys come from clients, but an
+/// address hashes only its class and cached key hash, so keys crafted to
+/// collide collide under any hasher; SipHash would add cost and no defence.
+type ViewPartition = HashMap<EntityAddr, EntityState, BuildHasherDefault<ConflictKeyHasher>>;
+
+/// A view partition holding `entities`, sized for all `len` of them up
+/// front so building it never rehashes.
+fn view_partition(
+    len: usize,
+    entities: impl IntoIterator<Item = (EntityAddr, EntityState)>,
+) -> ViewPartition {
+    let mut partition = ViewPartition::with_capacity_and_hasher(len, Default::default());
+    partition.extend(entities);
+    partition
 }
 
 /// Shared state between the coordinator, the sessions, and the readers.
@@ -286,7 +305,7 @@ impl ServiceCore {
             next_sub: AtomicU64::new(0),
             view: RwLock::new(ReadView {
                 epoch: 0,
-                partitions: (0..shards).map(|_| BTreeMap::new()).collect(),
+                partitions: (0..shards).map(|_| ViewPartition::default()).collect(),
             }),
             latest_cut: AtomicU64::new(0),
             monitor: OnceLock::new(),
@@ -307,10 +326,10 @@ impl ServiceCore {
         let mut view = self.view.write().expect("view lock");
         view.epoch = 0;
         for (slot, partition) in view.partitions.iter_mut().zip(partitions) {
-            *slot = partition
-                .iter()
-                .map(|(a, s)| (a.clone(), s.clone()))
-                .collect();
+            *slot = view_partition(
+                partition.len(),
+                partition.iter().map(|(a, s)| (a.clone(), s.clone())),
+            );
         }
     }
 
@@ -371,15 +390,16 @@ impl ServiceCore {
 
     /// Apply one **sealed** epoch to the read view and emit CDC updates.
     /// Delta images carry exactly the cut's dirty set and emit every entry;
-    /// full images (the periodic rebase) are diffed against the view so
-    /// subscribers see changes, not a full re-broadcast. Returns the number
-    /// of updates delivered (counting fan-out to multiple subscriptions).
+    /// full images (a rebase) are diffed against the view so subscribers
+    /// see changes, not a full re-broadcast. Returns the number of updates
+    /// delivered (counting fan-out to multiple subscriptions).
     ///
     /// Readers are blocked only for the swap itself: the diff runs under the
     /// read lock — sound because the coordinator is the view's only writer,
-    /// so no slot changes between the diff and the swap — and the replaced
-    /// partition maps are dropped after the write lock is released.
-    pub(crate) fn apply_sealed(&self, epoch: u64, parts: Vec<(usize, DecodedImage)>) -> u64 {
+    /// so no slot changes between the diff and the swap — a full image is
+    /// indexed into its new partition map before the write lock is taken,
+    /// and the replaced partition maps are dropped after it is released.
+    pub(crate) fn apply_sealed(&self, epoch: u64, mut parts: Vec<(usize, DecodedImage)>) -> u64 {
         let mut changed: Vec<StateUpdate> = Vec::new();
         {
             // Poisoning here would mean a *reader* panicked mid-read (readers
@@ -398,7 +418,7 @@ impl ServiceCore {
                     deleted: state.is_none(),
                 };
                 match image.kind {
-                    state_backend::SnapshotKind::Delta => {
+                    SnapshotKind::Delta => {
                         for (addr, state) in &image.entities {
                             changed.push(update(addr, Some(state)));
                         }
@@ -406,22 +426,36 @@ impl ServiceCore {
                             changed.push(update(addr, None));
                         }
                     }
-                    state_backend::SnapshotKind::Full => {
+                    SnapshotKind::Full => {
                         let slot = &view.partitions[*partition];
                         for (addr, state) in &image.entities {
                             if slot.get(addr).is_none_or(|old| old != state) {
                                 changed.push(update(addr, Some(state)));
                             }
                         }
-                        for addr in slot.keys() {
-                            if !image.entities.contains_key(addr) {
-                                changed.push(update(addr, None));
-                            }
+                        // Address order, as for the upserts above: the
+                        // view's hash order is not part of the CDC stream.
+                        let mut deleted: Vec<&EntityAddr> = slot
+                            .keys()
+                            .filter(|addr| !image.entities.contains_key(*addr))
+                            .collect();
+                        deleted.sort_unstable();
+                        for addr in deleted {
+                            changed.push(update(addr, None));
                         }
                     }
                 }
             }
         }
+        let rebuilt: Vec<Option<ViewPartition>> = parts
+            .iter_mut()
+            .map(|(_, image)| {
+                (image.kind == SnapshotKind::Full).then(|| {
+                    let entities = std::mem::take(&mut image.entities);
+                    view_partition(entities.len(), entities)
+                })
+            })
+            .collect();
         let mut replaced = Vec::new();
         {
             // lock-order: view alone (write), dropped at block end before
@@ -430,17 +464,15 @@ impl ServiceCore {
                 Ok(v) => v,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            for (partition, image) in parts {
+            for ((partition, image), rebuilt) in parts.into_iter().zip(rebuilt) {
                 let slot = &mut view.partitions[partition];
-                match image.kind {
-                    state_backend::SnapshotKind::Delta => {
+                match rebuilt {
+                    Some(full) => replaced.push(std::mem::replace(slot, full)),
+                    None => {
                         slot.extend(image.entities);
                         for addr in &image.tombstones {
                             slot.remove(addr);
                         }
-                    }
-                    state_backend::SnapshotKind::Full => {
-                        replaced.push(std::mem::replace(slot, image.entities));
                     }
                 }
             }
@@ -567,7 +599,8 @@ impl ServiceHandle {
 
     /// Point read: the entity's full field image at the latest sealed epoch,
     /// `None` if it does not exist there. Never touches the transactional
-    /// pipeline — this is a map lookup under a read lock.
+    /// pipeline — this is one hash probe on the address's cached key hash,
+    /// under a read lock.
     pub fn read(&self, addr: &EntityAddr) -> ReadResult<Option<FieldImage>> {
         let shard = self.core.map.route(addr);
         let (value, staleness) = self
@@ -576,7 +609,8 @@ impl ServiceHandle {
         ReadResult { value, staleness }
     }
 
-    /// Point read of a single field at the latest sealed epoch.
+    /// Point read of a single field at the latest sealed epoch (one probe,
+    /// as [`read`](Self::read)).
     pub fn read_field(&self, addr: &EntityAddr, field: &str) -> ReadResult<Option<Value>> {
         let shard = self.core.map.route(addr);
         let (value, staleness) = self.core.read_view(|view| {
@@ -587,24 +621,33 @@ impl ServiceHandle {
         ReadResult { value, staleness }
     }
 
-    /// Scan every live entity of `class` at the latest sealed epoch, in
-    /// address order per partition. An unknown class scans empty.
+    /// Scan every live entity of `class` at the latest sealed epoch,
+    /// partition by partition, in address order within each partition. The
+    /// view is hash-indexed, so each partition's matches are sorted after
+    /// the read lock is released. An unknown class scans empty.
     pub fn scan_class(&self, class: &str) -> ReadResult<Vec<(EntityAddr, FieldImage)>> {
         let class_id = ClassId::lookup(class);
-        let (value, staleness) = self.core.read_view(|view| {
-            let Some(class_id) = class_id else {
-                return Vec::new();
-            };
+        let ((mut value, ends), staleness) = self.core.read_view(|view| {
             let mut out = Vec::new();
+            let mut ends = Vec::new();
+            let Some(class_id) = class_id else {
+                return (out, ends);
+            };
             for partition in &view.partitions {
                 for (addr, state) in partition {
                     if addr.class == class_id {
                         out.push((addr.clone(), field_image(state)));
                     }
                 }
+                ends.push(out.len());
             }
-            out
+            (out, ends)
         });
+        let mut start = 0;
+        for end in ends {
+            value[start..end].sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            start = end;
+        }
         ReadResult { value, staleness }
     }
 
@@ -766,5 +809,105 @@ impl Drop for ClientSession {
         if let Ok(mut sessions) = self.core.sessions.lock() {
             sessions.remove(&self.id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use state_backend::PartitionState;
+    use stateful_entities::Key;
+    use std::collections::BTreeMap;
+
+    const SHARDS: usize = 2;
+
+    fn addr(i: usize) -> EntityAddr {
+        EntityAddr::new("Account", Key::Str(format!("acc{i}").into()))
+    }
+
+    fn account(balance: i64) -> EntityState {
+        let mut state = EntityState::new();
+        state.insert("balance".into(), Value::Int(balance));
+        state
+    }
+
+    fn image(kind: SnapshotKind, entities: &BTreeMap<EntityAddr, EntityState>) -> DecodedImage {
+        DecodedImage {
+            kind,
+            entities: entities.clone(),
+            tombstones: Vec::new(),
+        }
+    }
+
+    /// The expected scan: partition by partition, address order within each.
+    fn model_scan(model: &[BTreeMap<EntityAddr, EntityState>]) -> Vec<(EntityAddr, FieldImage)> {
+        model
+            .iter()
+            .flat_map(|partition| partition.iter().map(|(a, s)| (a.clone(), field_image(s))))
+            .collect()
+    }
+
+    /// The hash-indexed view keeps the scan's documented order and the point
+    /// reads' values through a seed, deltas (with a tombstone) and a rebase.
+    #[test]
+    fn view_keeps_address_order_through_deltas_and_a_rebase() {
+        let map = Arc::new(ShardMap::uniform(SHARDS));
+        let core = ServiceCore::new(Arc::clone(&map), SHARDS, 0);
+        let handle = ServiceHandle::new(Arc::clone(&core));
+        let mut model: Vec<BTreeMap<EntityAddr, EntityState>> = vec![BTreeMap::new(); SHARDS];
+        let mut loaded: Vec<PartitionState> = (0..SHARDS).map(|_| PartitionState::new()).collect();
+        for i in 0..64 {
+            let a = addr(i);
+            let shard = map.route(&a);
+            loaded[shard].put(a.clone(), account(i as i64));
+            model[shard].insert(a, account(i as i64));
+        }
+        core.seed_view(&loaded);
+        assert_eq!(handle.scan_class("Account").value, model_scan(&model));
+
+        // Epoch 1: a delta updates every third account, adds new ones and
+        // deletes one.
+        let mut parts = Vec::new();
+        for (shard, partition) in model.iter_mut().enumerate() {
+            let mut dirty = BTreeMap::new();
+            for i in (0..96).filter(|i| i % 3 == 0) {
+                let a = addr(i);
+                if map.route(&a) == shard {
+                    partition.insert(a.clone(), account(1_000 + i as i64));
+                    dirty.insert(a, account(1_000 + i as i64));
+                }
+            }
+            let mut delta = image(SnapshotKind::Delta, &dirty);
+            let gone = partition
+                .keys()
+                .nth(1)
+                .cloned()
+                .expect("partition holds accounts");
+            partition.remove(&gone);
+            delta.tombstones.push(gone);
+            parts.push((shard, delta));
+        }
+        core.apply_sealed(1, parts);
+        assert_eq!(handle.scan_class("Account").value, model_scan(&model));
+
+        // Epoch 2: a rebase replaces each partition with its full image.
+        for (i, partition) in model.iter_mut().enumerate() {
+            partition.retain(|a, _| a.key_hash() % 5 != i as u64);
+        }
+        let parts = model
+            .iter()
+            .enumerate()
+            .map(|(shard, partition)| (shard, image(SnapshotKind::Full, partition)))
+            .collect();
+        core.apply_sealed(2, parts);
+        let scan = handle.scan_class("Account");
+        assert_eq!(scan.staleness.snapshot_epoch, 2);
+        assert_eq!(scan.value, model_scan(&model));
+        for i in 0..96 {
+            let a = addr(i);
+            let expected = model[map.route(&a)].get(&a).map(field_image);
+            assert_eq!(handle.read(&a).value, expected, "account {i}");
+        }
+        assert!(handle.scan_class("NoSuchClass").value.is_empty());
     }
 }

@@ -1411,7 +1411,8 @@ impl SnapshotStore {
     /// Merge adjacent delta snapshots so every full snapshot is followed by at
     /// most one delta per partition. Long-running jobs accumulate one delta
     /// per epoch until the next rebase; compaction bounds recovery replay work
-    /// independently of the rebase interval (`full_snapshot_every`).
+    /// independently of when the caller rebases (every N epochs in the
+    /// virtual-time runtime, by chain size in the sharded one).
     ///
     /// A merged delta lives at the *newest* epoch of its run and carries that
     /// snapshot's source offsets; [`SnapshotStore::reconstruct`] at or after

@@ -27,7 +27,6 @@ fn build() -> ShardRuntime {
         shards: 4,
         batch_size: 16,
         epoch_every_batches: 3,
-        full_snapshot_every: 4,
         ..ShardConfig::default()
     };
     let mut rt = ShardRuntime::new(program.ir.clone(), config).expect("compiled IR verifies");

@@ -78,7 +78,6 @@ fn config(dir: &Path, fault: &FaultInjector) -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
-        full_snapshot_every: 3,
         durable: Some(DurableConfig {
             dir: dir.to_path_buf(),
             group_commit_window: 4,

@@ -109,7 +109,6 @@ fn monitored_config(seed: u64, monitor: &Arc<Monitor>) -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
-        full_snapshot_every: 3,
         monitor: Some(Arc::clone(monitor)),
         schedule: Some(SchedulePlan::seeded(seed)),
         ..ShardConfig::with_shards(SHARDS)
@@ -513,7 +512,6 @@ fn recovery_fault_matrix_is_race_free_and_order_certified() {
         let config = ShardConfig {
             batch_size: 8,
             epoch_every_batches: 2,
-            full_snapshot_every: 3,
             monitor: Some(Arc::clone(monitor)),
             ..ShardConfig::with_shards(SHARDS)
         };

@@ -7,6 +7,14 @@
 //! Its own test binary, so process-global counters added later stay
 //! isolated from the other suites.
 //!
+//! In-memory rows: snapshot work per call while the service seals after
+//! every drain (`ShardReport::{snapshots_taken, delta_snapshots_taken,
+//! snapshot_bytes}`).
+//!
+//! * *trickle* — one `oltp`-mix call in flight: every call is its own drain,
+//!   so every call seals an epoch. Deltas carry one call's dirty set; the
+//!   rebase rule must keep full captures rare however many epochs there are.
+//!
 //! Durable rows: `ShardReport::log_syncs`, the ingress-log fsyncs a run
 //! issued (one per log partition per group commit).
 //!
@@ -25,6 +33,49 @@ use workloads::{account_init_args, account_program, Operation};
 
 const SHARDS: usize = 2;
 const ACCOUNTS: usize = 64;
+/// Accounts of the in-memory drive, with `sebench`'s 64-byte payload.
+const MEM_ACCOUNTS: usize = 2_000;
+
+fn memory_runtime() -> ShardRuntime {
+    let program = account_program();
+    let mut rt = ShardRuntime::new(program.ir, ShardConfig::with_shards(SHARDS))
+        .expect("boot in-memory runtime");
+    for i in 0..MEM_ACCOUNTS {
+        rt.load_entity("Account", &account_init_args(i, 64))
+            .expect("load account");
+    }
+    rt
+}
+
+/// The `i`-th call of a fixed `oltp` mix (40 % reads, 30 % updates, 20 %
+/// credits, 10 % transfers) over uniformly spread accounts.
+fn oltp_op(i: usize) -> Operation {
+    let r = (i as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(29);
+    let key = (r % MEM_ACCOUNTS as u64) as usize;
+    match (r >> 32) % 100 {
+        0..40 => Operation::Read { key },
+        40..70 => Operation::Update {
+            key,
+            value: (r >> 48) as i64,
+        },
+        70..90 => Operation::Credit { key, amount: 1 },
+        _ => Operation::Transfer {
+            from: key,
+            to: (key + 1 + (r >> 40) as usize % (MEM_ACCOUNTS - 1)) % MEM_ACCOUNTS,
+            amount: 1,
+        },
+    }
+}
+
+/// The durable drives' credit stream.
+fn credit_op(i: usize) -> Operation {
+    Operation::Credit {
+        key: (i * 7) % ACCOUNTS,
+        amount: 1,
+    }
+}
 
 fn durable_runtime(dir: &Path) -> ShardRuntime {
     let program = account_program();
@@ -40,9 +91,14 @@ fn durable_runtime(dir: &Path) -> ShardRuntime {
     rt
 }
 
-/// Serve `calls` credits from one session with at most `in_flight`
-/// unanswered at a time (a closed loop), checking every call is answered.
-fn drive(rt: &mut ShardRuntime, calls: usize, in_flight: usize) -> ShardReport {
+/// Serve calls `op(0..calls)` from one session with at most `in_flight`
+/// unanswered at a time (a closed loop), checking every call succeeds.
+fn drive(
+    rt: &mut ShardRuntime,
+    calls: usize,
+    in_flight: usize,
+    op: fn(usize) -> Operation,
+) -> ShardReport {
     let ir = account_program().ir;
     let (report, answered) = rt
         .serve(|handle| {
@@ -54,17 +110,15 @@ fn drive(rt: &mut ShardRuntime, calls: usize, in_flight: usize) -> ShardReport {
                     let response = session
                         .recv_timeout(Duration::from_secs(30))
                         .expect("answered");
-                    assert!(response.result.is_ok(), "credit failed");
+                    assert!(response.result.is_ok(), "call failed");
                     answered += 1;
                     outstanding.pop_front();
                 }
-                let op = Operation::Credit {
-                    key: (i * 7) % ACCOUNTS,
-                    amount: 1,
-                };
-                outstanding.push_back(session.submit(op.to_call(&ir)).expect("admitted"));
+                outstanding.push_back(session.submit(op(i).to_call(&ir)).expect("admitted"));
             }
-            answered + session.collect(outstanding.len()).len()
+            let tail = session.collect(outstanding.len());
+            assert!(tail.iter().all(|r| r.result.is_ok()), "call failed");
+            answered + tail.len()
         })
         .expect("serve");
     assert_eq!(answered, calls, "every admitted call is answered");
@@ -77,7 +131,7 @@ fn trickle_issues_at_most_one_log_fsync_per_call() {
     const CALLS: usize = 500;
     let tmp = TempDir::new("budget-trickle");
     let mut rt = durable_runtime(tmp.path());
-    let report = drive(&mut rt, CALLS, 1);
+    let report = drive(&mut rt, CALLS, 1, credit_op);
     assert!(
         report.log_syncs > 0,
         "the durable path must be exercised (log_syncs = 0)"
@@ -100,7 +154,7 @@ fn storm_shares_log_fsyncs_across_admission_groups() {
     const CEILING: u64 = 250;
     let tmp = TempDir::new("budget-storm");
     let mut rt = durable_runtime(tmp.path());
-    let report = drive(&mut rt, CALLS, 256);
+    let report = drive(&mut rt, CALLS, 256, credit_op);
     assert!(
         report.log_syncs > 0,
         "the durable path must be exercised (log_syncs = 0)"
@@ -109,5 +163,36 @@ fn storm_shares_log_fsyncs_across_admission_groups() {
         report.log_syncs <= CEILING,
         "storm: {} log fsyncs for {CALLS} calls (ceiling {CEILING})",
         report.log_syncs
+    );
+}
+
+/// One in-memory call in flight: every call seals an epoch, so the rebase
+/// rule alone decides how often a full capture is paid for. Measured on a
+/// 2-core VM: 2 full captures (one rebase of both shards) and 222–256
+/// snapshot bytes per call. Rebasing every 4th epoch instead measured 459
+/// full captures per kcall and 50 121 bytes per call.
+#[test]
+fn memory_trickle_rebases_rarely_and_snapshots_little_per_call() {
+    const CALLS: usize = 2_000;
+    const FULLS_PER_KCALL: f64 = 4.0;
+    const BYTES_PER_CALL: f64 = 512.0;
+    let mut rt = memory_runtime();
+    let report = drive(&mut rt, CALLS, 1, oltp_op);
+    assert!(
+        report.delta_snapshots_taken > 0,
+        "the in-memory snapshot path must be exercised (no deltas)"
+    );
+    let fulls = report.snapshots_taken - report.delta_snapshots_taken;
+    let fulls_per_kcall = fulls as f64 * 1_000.0 / CALLS as f64;
+    assert!(
+        fulls_per_kcall <= FULLS_PER_KCALL,
+        "memory trickle: {fulls} full captures in {} epochs = {fulls_per_kcall} per kcall \
+         (ceiling {FULLS_PER_KCALL})",
+        report.epochs_completed
+    );
+    let bytes_per_call = report.snapshot_bytes as f64 / CALLS as f64;
+    assert!(
+        bytes_per_call <= BYTES_PER_CALL,
+        "memory trickle: {bytes_per_call:.0} snapshot bytes per call (ceiling {BYTES_PER_CALL})"
     );
 }

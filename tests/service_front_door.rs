@@ -43,7 +43,6 @@ fn base_config() -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 4,
-        full_snapshot_every: 3,
         ..ShardConfig::with_shards(SHARDS)
     }
 }

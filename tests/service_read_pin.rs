@@ -33,7 +33,6 @@ fn service_runtime() -> ShardRuntime {
         ShardConfig {
             batch_size: 8,
             epoch_every_batches: 4,
-            full_snapshot_every: 3,
             ..ShardConfig::with_shards(SHARDS)
         },
     )

@@ -40,7 +40,6 @@ fn base_config() -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
-        full_snapshot_every: 3,
         max_inflight_requests: 0,
         ..ShardConfig::with_shards(SHARDS)
     }

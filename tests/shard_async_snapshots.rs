@@ -102,7 +102,6 @@ fn barrier_critical_path_contains_no_encoding() {
     let config = ShardConfig {
         batch_size: 8,
         epoch_every_batches: 3,
-        full_snapshot_every: 4,
         ..ShardConfig::with_shards(3)
     };
 
@@ -125,7 +124,6 @@ fn mid_encode_crash_falls_back_to_the_last_sealed_epoch() {
     let config = ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
-        full_snapshot_every: 3,
         ..ShardConfig::with_shards(3)
     };
 
@@ -182,13 +180,12 @@ fn mid_encode_crash_falls_back_to_the_last_sealed_epoch() {
 
 #[test]
 fn mid_encode_crash_recovers_through_a_folded_merged_delta() {
-    // Rebases far beyond the run length: the recovery image at the crash is
-    // full anchor + the decoded merged delta, under async arrival.
+    // Epoch per batch: between rebases the recovery image at the crash is
+    // a full anchor + the decoded merged delta, under async arrival.
     let calls = mixed_calls(160);
     let config = ShardConfig {
         batch_size: 4,
         epoch_every_batches: 1,
-        full_snapshot_every: 10_000,
         ..ShardConfig::with_shards(3)
     };
     let mut healthy = runtime(config.clone());
@@ -219,7 +216,6 @@ fn amortized_compaction_invariant_holds_under_async_sealing() {
         ShardConfig {
             batch_size: 4,
             epoch_every_batches: 1,
-            full_snapshot_every: 10_000,
             ..ShardConfig::with_shards(3)
         },
         &calls,

@@ -141,7 +141,6 @@ fn equivalence_holds_under_aggressive_epochs_and_tiny_batches() {
     assert_equivalent(&spec, |shards| ShardConfig {
         batch_size: 3,
         epoch_every_batches: 1,
-        full_snapshot_every: 2,
         ..ShardConfig::with_shards(shards)
     });
 }

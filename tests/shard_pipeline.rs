@@ -12,8 +12,8 @@
 //! * Crash recovery fires **while two batches are in flight** and the
 //!   replayed run still equals the healthy one exactly-once.
 //! * Post-barrier **compaction** bounds every recovery chain at one full
-//!   plus at most one merged delta, even when `full_snapshot_every` would
-//!   otherwise let the chain grow for the whole run.
+//!   plus at most one merged delta, however long the chain runs before the
+//!   next rebase.
 //! * Mixed read/update/transfer traffic stays oracle-equivalent — pipelining
 //!   and precise footprints change schedules, never results.
 
@@ -221,12 +221,11 @@ fn compaction_bounds_recovery_chains_on_long_runs() {
         .collect();
     // Amortized folding happens at *seal* time, while bytes trail in from
     // the background encoder; the chain bound must hold regardless.
-    // A rebase cadence far beyond the run length: without compaction the
-    // delta chain would grow by one per epoch for the whole run.
+    // Without compaction the delta chain would grow by one per epoch until
+    // the chain-size rule rebases.
     let config = ShardConfig {
         batch_size: 4,
         epoch_every_batches: 1,
-        full_snapshot_every: 10_000,
         ..ShardConfig::with_shards(3)
     };
 
@@ -241,7 +240,7 @@ fn compaction_bounds_recovery_chains_on_long_runs() {
     );
     assert!(
         report.delta_snapshots_taken > 0,
-        "everything after the baseline is a delta at this rebase cadence"
+        "the barriers after the baseline start a delta chain"
     );
     assert!(
         report.snapshots_compacted > 0,

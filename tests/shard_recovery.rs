@@ -27,7 +27,6 @@ fn config() -> ShardConfig {
     ShardConfig {
         batch_size: 8,
         epoch_every_batches: 2,
-        full_snapshot_every: 3,
         ..ShardConfig::with_shards(SHARDS)
     }
 }
@@ -252,8 +251,8 @@ fn crash_before_first_epoch_recovers_the_baseline() {
 
 #[test]
 fn recovery_uses_delta_chains_not_just_full_snapshots() {
-    // With full_snapshot_every = 3 and a late crash, the recovery point's
-    // chain is full + deltas; the replayed outcome must still be identical.
+    // A late crash between rebases: the recovery point's chain is full +
+    // deltas; the replayed outcome must still be identical.
     let mut healthy = build_runtime();
     let healthy_report = healthy.run().unwrap();
     assert!(
